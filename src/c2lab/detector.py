@@ -13,6 +13,8 @@ flagging traffic for a second look is the cheap mistake.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +29,9 @@ CLASS_ORDER = (Label.C2, Label.NON_C2)
 LABEL_INDEX = {Label.C2: 0, Label.NON_C2: 1}
 
 _MAGIC = b"SZMLP1\n"
+# Elements per chunk of the in-place Adam update: a chunk's operands and
+# scratch take about 1 MB, inside a core's L2 cache.
+_ADAM_CHUNK = 1 << 15
 
 
 @dataclass
@@ -44,8 +49,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.dropout_rate < 1:
-            raise ValueError("dropout_rate must be in [0, 1)")
+        for name, value in (
+            ("batch_size", self.batch_size),
+            ("max_epochs", self.max_epochs),
+            ("patience", self.patience),
+            *((f"hidden_sizes[{i}]", n) for i, n in enumerate(self.hidden_sizes)),
+        ):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("learning_rate", "adam_eps"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("beta1", "beta2", "dropout_rate"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1)")
         if not 0 < self.val_fraction < 0.5:
             raise ValueError("val_fraction must be in (0, 0.5)")
 
@@ -107,26 +124,61 @@ class DetectorParams:
 
     @classmethod
     def load(cls, path: str | Path) -> "DetectorParams":
-        with open(path, "rb") as fh:
-            magic = fh.read(len(_MAGIC))
-            if magic != _MAGIC:
-                raise ValueError(f"{path}: not a detector parameter file")
-            (header_len,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(header_len))
-            sizes = header["layer_sizes"]
-            dtypes = header["dtypes"]
-            weights, biases = [], []
-            for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-                dt = np.dtype(dtypes[i]).newbyteorder("<")
-                w_bytes = fh.read(fan_in * fan_out * dt.itemsize)
-                b_bytes = fh.read(fan_out * dt.itemsize)
-                if len(w_bytes) + len(b_bytes) != (fan_in + 1) * fan_out * dt.itemsize:
-                    raise ValueError(f"{path}: parameter data shorter than header promises")
-                weights.append(np.frombuffer(w_bytes, dtype=dt).reshape(fan_in, fan_out).astype(dtypes[i]))
-                biases.append(np.frombuffer(b_bytes, dtype=dt).astype(dtypes[i]))
-            if fh.read(1):
-                raise ValueError(f"{path}: trailing bytes after parameters")
-        return cls(weights, biases, float(header["norm_scale"]))
+        """Read a file written by save; any malformed field raises ValueError naming it."""
+        data = Path(path).read_bytes()
+        if not data.startswith(_MAGIC):
+            raise ValueError(f"{path}: not a detector parameter file")
+        pos = len(_MAGIC) + 4
+        if len(data) < pos:
+            raise ValueError(f"{path}: header length prefix is truncated")
+        (header_len,) = struct.unpack_from("<I", data, len(_MAGIC))
+        try:
+            header = json.loads(data[pos : pos + header_len])
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ValueError(f"{path}: header is not valid JSON ({exc})") from None
+        pos += header_len
+        sizes, dtypes, norm_scale = _header_fields(path, header)
+        expected = sum((fan_in + 1) * fan_out * dt.itemsize for fan_in, fan_out, dt in zip(sizes, sizes[1:], dtypes))
+        if len(data) - pos < expected:
+            raise ValueError(f"{path}: parameter data shorter than header promises")
+        if len(data) - pos > expected:
+            raise ValueError(f"{path}: trailing bytes after parameters")
+        weights, biases = [], []
+        for fan_in, fan_out, dt in zip(sizes, sizes[1:], dtypes):
+            stored = dt.newbyteorder("<")
+            w = np.frombuffer(data, dtype=stored, count=fan_in * fan_out, offset=pos)
+            pos += w.nbytes
+            b = np.frombuffer(data, dtype=stored, count=fan_out, offset=pos)
+            pos += b.nbytes
+            weights.append(w.reshape(fan_in, fan_out).astype(dt))
+            biases.append(b.astype(dt))
+        return cls(weights, biases, float(norm_scale))
+
+
+def _header_fields(path, header) -> tuple[list[int], list[np.dtype], float]:
+    """Layer sizes, per-layer float dtypes and norm_scale of a parameter file header."""
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header must be a JSON object, got {type(header).__name__}")
+    missing = [k for k in ("layer_sizes", "dtypes", "norm_scale") if k not in header]
+    if missing:
+        raise ValueError(f"{path}: header lacks {', '.join(missing)}")
+    sizes, names, norm_scale = header["layer_sizes"], header["dtypes"], header["norm_scale"]
+    if not isinstance(sizes, list) or len(sizes) < 2 or not all(type(n) is int and n >= 1 for n in sizes):
+        raise ValueError(f"{path}: layer_sizes must list at least two integers >= 1, got {sizes!r}")
+    if not isinstance(names, list) or len(names) != len(sizes) - 1:
+        raise ValueError(f"{path}: dtypes must name one dtype for each of {len(sizes) - 1} layers, got {names!r}")
+    dtypes = []
+    for i, name in enumerate(names):
+        try:
+            dt = np.dtype(name) if isinstance(name, str) else None
+        except (TypeError, ValueError):
+            dt = None
+        if dt is None or dt.kind != "f":
+            raise ValueError(f"{path}: dtypes[{i}] must be a float dtype, got {name!r}")
+        dtypes.append(dt)
+    if type(norm_scale) not in (int, float) or not (math.isfinite(norm_scale) and norm_scale > 0):
+        raise ValueError(f"{path}: norm_scale must be a finite number > 0, got {norm_scale!r}")
+    return sizes, dtypes, norm_scale
 
 
 def normalize(x_raw: np.ndarray, norm_scale: float = NORM_SCALE) -> np.ndarray:
@@ -154,19 +206,37 @@ def forward(
 
     Dropout only fires when training is set; evaluation is deterministic.
     """
-    h = np.atleast_2d(np.asarray(x_norm))
-    n_layers = len(params.weights)
-    for i in range(n_layers - 1):
-        h = np.maximum(h @ params.weights[i] + params.biases[i], 0)
-        if training and dropout_rate > 0:
-            if rng is None:
-                raise ValueError("dropout requires an rng")
-            keep = 1.0 - dropout_rate
-            mask = (rng.random(h.shape) < keep).astype(h.dtype) / keep
-            h = h * mask
-    logits = h @ params.weights[-1] + params.biases[-1]
-    probs = _softmax(logits)
+    rate = dropout_rate if training else 0.0
+    if rate > 0 and rng is None:
+        raise ValueError("dropout requires an rng")
+    probs = _softmax(_forward_core(params, np.atleast_2d(np.asarray(x_norm)), rate, rng))
     return probs if np.ndim(x_norm) > 1 else probs[0]
+
+
+def _forward_core(params: DetectorParams, x: np.ndarray, dropout_rate: float = 0.0, rng=None, cache=None) -> np.ndarray:
+    """Logits for a 2-D batch, inverted dropout on every hidden layer when dropout_rate > 0.
+
+    With a cache list, each layer's input and the dropout mask already
+    applied to it (None for the net input or without dropout) are appended
+    as pairs for _backward.
+    """
+    h, mask = x, None
+    keep = 1.0 - dropout_rate
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        if cache is not None:
+            cache.append((h, mask))
+        h = h @ w
+        h += b
+        np.maximum(h, 0, out=h)
+        if dropout_rate > 0:
+            mask = (rng.random(h.shape) < keep).astype(h.dtype)
+            mask /= keep
+            h *= mask
+    if cache is not None:
+        cache.append((h, mask))
+    logits = h @ params.weights[-1]
+    logits += params.biases[-1]
+    return logits
 
 
 def predict_proba(params: DetectorParams, features: np.ndarray | Sequence[FeatureVector]) -> np.ndarray:
@@ -203,44 +273,35 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(lse - z[np.arange(len(z)), y]))
 
 
-def _forward_cached(params: DetectorParams, x: np.ndarray, dropout_rate: float, rng) -> tuple:
-    acts = [x]
-    masks = []
-    h = x
-    for i in range(len(params.weights) - 1):
-        h = np.maximum(h @ params.weights[i] + params.biases[i], 0)
-        if dropout_rate > 0:
-            keep = 1.0 - dropout_rate
-            mask = (rng.random(h.shape) < keep).astype(h.dtype) / keep
-            h = h * mask
-            masks.append(mask)
-        else:
-            masks.append(None)
-        acts.append(h)
-    logits = h @ params.weights[-1] + params.biases[-1]
-    return acts, masks, logits
-
-
-def _backward(params: DetectorParams, acts, masks, logits, y) -> tuple[list, list, np.ndarray]:
-    """Gradients of mean cross-entropy wrt every weight, bias, and the input."""
+def _backward(params: DetectorParams, cache, logits, y, input_grad: bool = False) -> tuple[list, list, np.ndarray | None]:
+    """Gradients of mean cross-entropy wrt every weight and bias, and wrt the
+    input when input_grad is set (None otherwise). cache is _forward_core's."""
     n = len(logits)
-    probs = _softmax(logits)
-    delta = probs.copy()
+    delta = _softmax(logits)
     delta[np.arange(n), y] -= 1.0
     delta /= n
     grads_w = [None] * len(params.weights)
     grads_b = [None] * len(params.biases)
     for i in range(len(params.weights) - 1, -1, -1):
-        grads_w[i] = acts[i].T @ delta
+        h, mask = cache[i]
+        grads_w[i] = h.T @ delta
         grads_b[i] = delta.sum(axis=0)
+        if i == 0 and not input_grad:
+            return grads_w, grads_b, None
+        delta = delta @ params.weights[i].T
         if i > 0:
-            delta = delta @ params.weights[i].T
-            if masks[i - 1] is not None:
-                delta = delta * masks[i - 1]
-            delta = delta * (acts[i] > 0)
-        else:
-            delta = delta @ params.weights[0].T
+            if mask is not None:
+                delta *= mask
+            delta *= h > 0
     return grads_w, grads_b, delta
+
+
+def _float64(params: DetectorParams) -> DetectorParams:
+    return DetectorParams(
+        [w.astype(np.float64) for w in params.weights],
+        [b.astype(np.float64) for b in params.biases],
+        params.norm_scale,
+    )
 
 
 def input_gradient(params: DetectorParams, x_norm: np.ndarray, y: np.ndarray | int) -> np.ndarray:
@@ -253,12 +314,11 @@ def input_gradient(params: DetectorParams, x_norm: np.ndarray, y: np.ndarray | i
     y_arr = np.atleast_1d(np.asarray(y, dtype=np.int64))
     if len(y_arr) != len(x):
         raise ValueError("labels do not match input rows")
-    w64 = [w.astype(np.float64) for w in params.weights]
-    b64 = [b.astype(np.float64) for b in params.biases]
-    p64 = DetectorParams(w64, b64, params.norm_scale)
-    acts, masks, logits = _forward_cached(p64, x, 0.0, None)
-    _, _, dx = _backward(p64, acts, masks, logits, y_arr)
-    dx = dx * len(x)  # undo the batch mean: per-sample gradients
+    p64 = _float64(params)
+    cache: list = []
+    logits = _forward_core(p64, x, cache=cache)
+    _, _, dx = _backward(p64, cache, logits, y_arr, input_grad=True)
+    dx *= len(x)  # undo the batch mean: per-sample gradients
     return dx if np.ndim(x_norm) > 1 else dx[0]
 
 
@@ -266,10 +326,7 @@ def loss_on(params: DetectorParams, x_norm: np.ndarray, y: np.ndarray | int) -> 
     """Mean cross-entropy on normalized inputs, dropout off."""
     x = np.atleast_2d(np.asarray(x_norm, dtype=np.float64))
     y_arr = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    w64 = [w.astype(np.float64) for w in params.weights]
-    b64 = [b.astype(np.float64) for b in params.biases]
-    _, _, logits = _forward_cached(DetectorParams(w64, b64), x, 0.0, None)
-    return cross_entropy(logits, y_arr)
+    return cross_entropy(_forward_core(_float64(params), x), y_arr)
 
 
 @dataclass
@@ -278,7 +335,24 @@ class _AdamState:
     v_w: list[np.ndarray]
     m_b: list[np.ndarray]
     v_b: list[np.ndarray]
+    # Step scratch for one chunk of rows: moment-term temporaries in the
+    # parameter dtype, and the float64 update lr_t * m / (sqrt(v) + eps),
+    # float64 because lr_t is an np.float64.
+    scratch: np.ndarray
+    scratch64: np.ndarray
     t: int = 0
+
+    @classmethod
+    def zeros_for(cls, params: DetectorParams) -> "_AdamState":
+        largest = max(_ADAM_CHUNK, *(w.shape[1] for w in params.weights))
+        return cls(
+            m_w=[np.zeros_like(w) for w in params.weights],
+            v_w=[np.zeros_like(w) for w in params.weights],
+            m_b=[np.zeros_like(b) for b in params.biases],
+            v_b=[np.zeros_like(b) for b in params.biases],
+            scratch=np.empty(largest, dtype=params.weights[0].dtype),
+            scratch64=np.empty(largest, dtype=np.float64),
+        )
 
 
 def train(dataset: Dataset, config: TrainConfig | None = None) -> tuple[DetectorParams, list[dict]]:
@@ -310,12 +384,7 @@ def train_arrays(x_raw: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple
     params = DetectorParams.initialize(
         init_rng, input_len=x.shape[1], hidden_sizes=tuple(config.hidden_sizes)
     )
-    state = _AdamState(
-        m_w=[np.zeros_like(w) for w in params.weights],
-        v_w=[np.zeros_like(w) for w in params.weights],
-        m_b=[np.zeros_like(b) for b in params.biases],
-        v_b=[np.zeros_like(b) for b in params.biases],
-    )
+    state = _AdamState.zeros_for(params)
 
     history: list[dict] = []
     best_val = np.inf
@@ -327,9 +396,10 @@ def train_arrays(x_raw: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple
         for start in range(0, len(x_tr), config.batch_size):
             idx = epoch_order[start : start + config.batch_size]
             xb, yb = x_tr[idx], y_tr[idx]
-            acts, masks, logits = _forward_cached(params, xb, config.dropout_rate, drop_rng)
+            cache: list = []
+            logits = _forward_core(params, xb, config.dropout_rate, drop_rng, cache)
             batch_losses.append(cross_entropy(logits, yb))
-            grads_w, grads_b, _ = _backward(params, acts, masks, logits, yb)
+            grads_w, grads_b, _ = _backward(params, cache, logits, yb)
             _adam_step(params, state, grads_w, grads_b, config)
         val_probs = forward(params, x_val)
         val_pred = val_probs.argmax(axis=1)
@@ -352,6 +422,16 @@ def train_arrays(x_raw: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple
 
 
 def _adam_step(params, state, grads_w, grads_b, config: TrainConfig) -> None:
+    """One Adam update in place; gradients must have their parameter's dtype.
+
+    Same operations, in the same order and precision, as
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        target -= lr_t * m / (sqrt(v) + eps)
+    with every temporary in the state's scratch buffers. Each tensor is
+    updated a chunk of rows at a time so the operands stay in cache between
+    the passes.
+    """
     state.t += 1
     lr_t = config.learning_rate * (
         np.sqrt(1 - config.beta2**state.t) / (1 - config.beta1**state.t)
@@ -361,12 +441,23 @@ def _adam_step(params, state, grads_w, grads_b, config: TrainConfig) -> None:
             (params.weights[i], grads_w[i], state.m_w[i], state.v_w[i]),
             (params.biases[i], grads_b[i], state.m_b[i], state.v_b[i]),
         ):
-            grad = grad.astype(target.dtype)
-            m *= config.beta1
-            m += (1 - config.beta1) * grad
-            v *= config.beta2
-            v += (1 - config.beta2) * grad * grad
-            target -= lr_t * m / (np.sqrt(v) + config.adam_eps)
+            rows = max(1, _ADAM_CHUNK * len(target) // target.size)
+            for r in range(0, len(target), rows):
+                tg, g, mc, vc = target[r : r + rows], grad[r : r + rows], m[r : r + rows], v[r : r + rows]
+                tmp = state.scratch[: g.size].reshape(g.shape)
+                update = state.scratch64[: g.size].reshape(g.shape)
+                mc *= config.beta1
+                np.multiply(1 - config.beta1, g, out=tmp)
+                mc += tmp
+                vc *= config.beta2
+                np.multiply(1 - config.beta2, g, out=tmp)
+                tmp *= g
+                vc += tmp
+                np.sqrt(vc, out=tmp)
+                tmp += config.adam_eps
+                np.multiply(lr_t, mc, out=update)
+                update /= tmp
+                tg -= update
 
 
 def accuracy(params: DetectorParams, dataset: Dataset) -> float:
