@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .detector import DetectorParams, LABEL_INDEX, input_gradient, normalize
-from .model import Direction, FeatureVector, Label, MAX_RECORD_SIZE, PAD_VALUE
+from .model import FEATURE_LEN, Direction, FeatureVector, Label, MAX_RECORD_SIZE, PAD_VALUE
 from .sizing import TlsSizeModel
 
 
@@ -127,6 +127,10 @@ def fgsm_batch(
     return out
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PlanTarget:
     position: int
@@ -134,6 +138,10 @@ class PlanTarget:
     size: int
 
     def __post_init__(self) -> None:
+        if not _is_int(self.position):
+            raise ValueError(f"position must be an int, got {self.position!r}")
+        if not _is_int(self.size):
+            raise ValueError(f"size must be an int, got {self.size!r}")
         if self.position < 0:
             raise ValueError("negative plan position")
         if self.size < 1:
@@ -157,28 +165,38 @@ class StuffingPlan:
     first_size_next_conn: int | None = None
     source_id: str = ""
     profile: tuple[int, ...] = ()
+    # target size (or None) per record position, derived from targets
+    _by_position: tuple[int | None, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
+        if not _is_int(self.n_records):
+            raise ValueError(f"n_records must be an int, got {self.n_records!r}")
         if self.n_records < 1:
-            raise ValueError("a plan must cover at least one record")
+            raise ValueError("n_records must be at least 1")
+        if self.first_size_next_conn is not None and not _is_int(self.first_size_next_conn):
+            raise ValueError(f"first_size_next_conn must be an int or null, got {self.first_size_next_conn!r}")
+        if not all(_is_int(v) for v in self.profile):
+            raise ValueError("profile entries must be ints")
         if self.profile and len(self.profile) != self.n_records:
             raise ValueError("profile length must match n_records")
+        by_position: list[int | None] = [None] * self.n_records
         prev = -1
         for t in self.targets:
             if t.position <= prev:
-                raise ValueError("plan target positions must be strictly increasing")
+                raise ValueError("targets: positions must be strictly increasing")
             if t.position >= self.n_records:
-                raise ValueError("plan target position beyond plan length")
+                raise ValueError("targets: position beyond n_records")
             prev = t.position
+            by_position[t.position] = t.size
+        object.__setattr__(self, "_by_position", tuple(by_position))
 
     @property
     def n_exchanges(self) -> int:
         return math.ceil(self.n_records / 2)
 
     def target_at(self, position: int) -> int | None:
-        for t in self.targets:
-            if t.position == position:
-                return t.size
+        if 0 <= position < self.n_records:
+            return self._by_position[position]
         return None
 
     def first_payload_target(self) -> int | None:
@@ -307,21 +325,88 @@ def save_plan_library(path: str | Path, plans: Sequence[StuffingPlan], meta: dic
         fh.write("\n")
 
 
+def _plan_from_entry(entry) -> StuffingPlan:
+    """One saved plan; errors name the offending field.
+
+    Bounds follow what build_plan_library can produce: one record per
+    feature position, sizes no larger than a record can carry.
+    """
+    if not isinstance(entry, dict):
+        raise ValueError("must be a JSON object")
+    for key in ("n_records", "targets", "first_size_next_conn"):
+        if key not in entry:
+            raise ValueError(f"missing field {key!r}")
+
+    def checked(name: str, value, low: int, high: int):
+        if not _is_int(value) or not low <= value <= high:
+            raise ValueError(f"{name} must be an int in [{low}, {high}], got {value!r}")
+        return value
+
+    n_records = checked("n_records", entry["n_records"], 1, FEATURE_LEN)
+    targets = entry["targets"]
+    if not isinstance(targets, list):
+        raise ValueError("targets must be a list")
+    parsed = []
+    for j, item in enumerate(targets):
+        if not isinstance(item, list) or len(item) != 3:
+            raise ValueError(f"targets[{j}] must be [position, direction, size]")
+        pos, direction, size = item
+        try:
+            direction = Direction(direction)
+        except ValueError:
+            raise ValueError(f"targets[{j}].direction {direction!r} unknown") from None
+        parsed.append(
+            PlanTarget(
+                checked(f"targets[{j}].position", pos, 0, n_records - 1),
+                direction,
+                checked(f"targets[{j}].size", size, 1, MAX_RECORD_SIZE),
+            )
+        )
+    next_size = entry["first_size_next_conn"]
+    if next_size is not None:
+        checked("first_size_next_conn", next_size, 1, MAX_RECORD_SIZE)
+    profile = entry.get("profile", [])
+    if not isinstance(profile, list):
+        raise ValueError("profile must be a list")
+    for j, value in enumerate(profile):
+        checked(f"profile[{j}]", value, 0, MAX_RECORD_SIZE)
+    source_id = entry.get("source_id", "")
+    if not isinstance(source_id, str):
+        raise ValueError("source_id must be a string")
+    return StuffingPlan(
+        n_records=n_records,
+        targets=tuple(parsed),
+        first_size_next_conn=next_size,
+        source_id=source_id,
+        profile=tuple(profile),
+    )
+
+
 def load_plan_library(path: str | Path) -> tuple[list[StuffingPlan], dict]:
+    """Read a library written by save_plan_library.
+
+    A malformed file raises ValueError naming the path, the plan index and
+    the field.
+    """
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ValueError(f"{path}: not a JSON document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: plan library must be a JSON object")
     if doc.get("version") != 1:
         raise ValueError(f"{path}: unsupported plan library version")
-    plans = [
-        StuffingPlan(
-            n_records=entry["n_records"],
-            targets=tuple(
-                PlanTarget(pos, Direction(d), size) for pos, d, size in entry["targets"]
-            ),
-            first_size_next_conn=entry["first_size_next_conn"],
-            source_id=entry.get("source_id", ""),
-            profile=tuple(entry.get("profile", ())),
-        )
-        for entry in doc["plans"]
-    ]
-    return plans, doc.get("meta", {})
+    entries = doc.get("plans")
+    if not isinstance(entries, list) or not entries:
+        raise ValueError(f"{path}: plans must be a non-empty list")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: meta must be a JSON object")
+    plans = []
+    for i, entry in enumerate(entries):
+        try:
+            plans.append(_plan_from_entry(entry))
+        except ValueError as exc:
+            raise ValueError(f"{path}: plans[{i}]: {exc}") from None
+    return plans, meta

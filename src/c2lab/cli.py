@@ -262,8 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a malformed or missing input exits 2 with one line on stderr."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"c2lab: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

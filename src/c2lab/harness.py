@@ -306,6 +306,7 @@ def run_threat_model_2(
     attack_samples = [s for s in rr_ds.samples[: ec.n_aware_randreq]]
     sweep: dict[str, dict] = {}
     libraries: dict[float, dict[StuffSide, list]] = {}
+    adv_datasets: dict[float, dict[StuffSide, Dataset]] = {}
     for eps in ec.epsilon_sweep:
         crafted = {
             side: adv.build_plan_library(
@@ -329,10 +330,12 @@ def run_threat_model_2(
             crafted[StuffSide.TWO_SIDE] + crafted[StuffSide.FRAMEWORK_ONLY]
         )
         libraries[eps] = crafted
+        adv_datasets[eps] = {}
         sweep[f"{eps}"] = {}
         for side in (StuffSide.FRAMEWORK_ONLY, StuffSide.PAYLOAD_ONLY, StuffSide.TWO_SIDE):
             prov = _ADV_PROVENANCE[side]
             adv_ds, flows = build_dataset(prov, ec.n_adv_eval, ec, f"tm2-eps{eps}", library=tuple(crafted[side]))
+            adv_datasets[eps][side] = adv_ds
             entry = _evaluate_evasion(params, adv_ds, artifacts, f"tm2_{prov.value}_eps{eps}")
             entry["missing_next_size"] = flows.missing_next_size
             sweep[f"{eps}"][side.value] = entry
@@ -343,8 +346,7 @@ def run_threat_model_2(
     )
     for side in (StuffSide.FRAMEWORK_ONLY, StuffSide.PAYLOAD_ONLY, StuffSide.TWO_SIDE):
         prov = _ADV_PROVENANCE[side]
-        adv_ds, _ = build_dataset(prov, ec.n_adv_eval, ec, f"tm2-eps{best_eps}", library=tuple(libraries[best_eps][side]))
-        artifacts.save_dataset(f"eval_{prov.value}", adv_ds)
+        artifacts.save_dataset(f"eval_{prov.value}", adv_datasets[best_eps][side])
         if artifacts.root is not None:
             rel = f"plans/{side.value}_eps{best_eps}.json"
             adv.save_plan_library(
@@ -384,14 +386,13 @@ def run_overhead(
         "conn_gap_regular": [],
         "conn_gap_adversarial": [],
     }
+    # built once: constructing the mode indexes the whole library
+    modes = (("regular", Regular()), ("adversarial", Adversarial(StuffSide.TWO_SIDE, tuple(two_side_library))))
     for run_idx in range(ec.overhead_runs):
         run_seed = seed_for(ec.master_seed, f"overhead-{run_idx}")
         script = interactive_script(substream(run_seed, "overhead-script"))
         per_mode = {}
-        for mode_name, mode in (
-            ("regular", Regular()),
-            ("adversarial", Adversarial(StuffSide.TWO_SIDE, tuple(two_side_library))),
-        ):
+        for mode_name, mode in modes:
             cfg = replace(ec.sim, mode=mode, seed=run_seed)
             result = simulate_session(script, cfg, session_index=0)
             conn_records = [

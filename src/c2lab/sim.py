@@ -24,7 +24,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .adversarial import StuffingPlan, StuffSide, chain_plans, sample_plan
+# sample_plan is unused here but stays importable as sim.sample_plan, the name
+# perfbench/layers.py wraps to count scalar plan draws
+from .adversarial import StuffingPlan, StuffSide, chain_plans, sample_plan  # noqa: F401
 from .model import Direction, FlowTrace, RecordEvent
 from .protocol import FrameworkSession, HeaderCodec, PayloadSession, framework_step, payload_step
 from .sizing import RECORD_HEADER_LEN, TlsSizeModel
@@ -75,14 +77,52 @@ class RandReqPerConn:
     high: int = 6
 
 
+@dataclass(frozen=True, eq=False)
+class PlanIndex:
+    """A plan library as int64 rows, one per plan, for the scheduler.
+
+    Columns are record positions, 2 * the longest plan's n_exchanges of
+    them. target holds the crafted size where covered is set and 0
+    elsewhere; profiled marks the uncovered positions inside n_records
+    whose plan carries a profile, and profile holds those sizes.
+    """
+
+    n_exchanges: np.ndarray
+    target: np.ndarray
+    covered: np.ndarray
+    profile: np.ndarray
+    profiled: np.ndarray
+
+    @classmethod
+    def build(cls, library: Sequence[StuffingPlan]) -> "PlanIndex":
+        n_exchanges = np.array([p.n_exchanges for p in library], dtype=np.int64)
+        width = 2 * int(n_exchanges.max())
+
+        def padded(values) -> list[int]:
+            return list(values) + [0] * (width - len(values))
+
+        target = np.array(
+            [padded([p.target_at(i) or 0 for i in range(p.n_records)]) for p in library], dtype=np.int64
+        )
+        profile = np.array([padded(p.profile) for p in library], dtype=np.int64)
+        n_records = np.array([p.n_records for p in library], dtype=np.int64)
+        has_profile = np.array([bool(p.profile) for p in library])
+        covered = target > 0
+        inside = np.arange(width) < n_records[:, None]
+        profiled = ~covered & inside & has_profile[:, None]
+        return cls(n_exchanges, target, covered, profile, profiled)
+
+
 @dataclass(frozen=True)
 class Adversarial:
     side: StuffSide
     library: tuple[StuffingPlan, ...]
+    index: PlanIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.library:
             raise ValueError("adversarial mode needs a plan library")
+        object.__setattr__(self, "index", PlanIndex.build(self.library))
 
 
 Mode = Union[Regular, StuffFixed, StuffRandom, FixedReqPerConn, RandReqPerConn, Adversarial]
@@ -337,63 +377,72 @@ def simulate_session(script: SessionScript, cfg: SimConfig, session_index: int =
 
 
 PLAN_CANDIDATES = 48  # library draws scored per connection
+PLAN_DRAWS = 65  # draws per candidate; the last one is kept even if too long
 PROFILE_WEIGHT = 0.25  # context drift is cheaper than corrupting a crafted size
 
 
-def _plan_fit(plan: StuffingPlan, upcoming: list[tuple], frame) -> float:
-    """Predicted gap between what realizing this plan produces and its crafted shape.
+def _draw_candidates(n_exchanges: np.ndarray, remaining: int, rng: np.random.Generator) -> np.ndarray:
+    """Library rows of the PLAN_CANDIDATES candidates for one connection.
 
-    Covered positions drift only by overshoot (content already past the
-    target), which corrupts a size the plan explicitly crafted. Uncovered
-    positions drift by however far the queued content sits from the profile
-    the plan was crafted around; that is context, not the attack itself, so
-    it is discounted.
+    Each candidate redraws while its plan needs more exchanges than remain,
+    and keeps its PLAN_DRAWS-th draw regardless. Every open candidate needs
+    at least one more draw, so a block of one draw per open candidate takes
+    exactly the values, and leaves the generator in the state, of drawing
+    them one at a time.
     """
-    err = 0.0
-    for i in range(min(plan.n_exchanges, len(upcoming))):
-        _, _, req_pt, _, resp_pt = upcoming[i]
-        for pos, content in ((2 * i, frame(req_pt)), (2 * i + 1, frame(resp_pt))):
-            if pos >= plan.n_records:
-                break
-            target = plan.target_at(pos)
-            if target is not None:
-                err += max(0, content - target)
-            elif plan.profile:
-                err += PROFILE_WEIGHT * abs(content - plan.profile[pos])
-    return err
+    chosen: list[int] = []
+    tries = 0  # draws spent on the candidate being drawn
+    while len(chosen) < PLAN_CANDIDATES:
+        block = rng.integers(len(n_exchanges), size=PLAN_CANDIDATES - len(chosen))
+        for row, fits in zip(block.tolist(), (n_exchanges[block] <= remaining).tolist()):
+            tries += 1
+            if fits or tries == PLAN_DRAWS:
+                chosen.append(row)
+                tries = 0
+    return np.array(chosen)
+
+
+def _schedule_plans(events: list[tuple], mode: Adversarial, plan_rng: np.random.Generator, frame) -> list[StuffingPlan]:
+    """The library plan each connection of the session rides, in order.
+
+    The operator schedules each connection onto the candidate whose shape
+    best matches the queued contents; only sizes the sender knows ahead of
+    time feed the score. Covered positions drift only by overshoot (content
+    already past the target), which corrupts a size the plan explicitly
+    crafted. Uncovered positions drift by however far the queued content
+    sits from the profile the plan was crafted around; that is context, not
+    the attack itself, so it is discounted. Every term is a multiple of
+    PROFILE_WEIGHT, so the sums are exact and ties go to the first draw.
+    """
+    index = mode.index
+    width = index.target.shape[1]
+    content = np.array([frame(pt) for ev in events for pt in (ev[2], ev[4])], dtype=np.int64)
+    remaining = len(events)
+    cursor = 0
+    plans: list[StuffingPlan] = []
+    while remaining > 0:
+        rows = _draw_candidates(index.n_exchanges, remaining, plan_rng)
+        # positions past the session's last exchange carry no content
+        span = min(2 * remaining, width)
+        window = content[2 * cursor : 2 * cursor + span]
+        overshoot = np.maximum(window - index.target[rows, :span], 0) * index.covered[rows, :span]
+        drift = np.abs(window - index.profile[rows, :span]) * index.profiled[rows, :span]
+        err = overshoot.sum(axis=1) + PROFILE_WEIGHT * drift.sum(axis=1)
+        # a lone leftover exchange would ride an ill-fitting plan; plan the
+        # splits so no orphan connection remains
+        err[remaining - np.minimum(index.n_exchanges[rows], remaining) == 1] += 1e6
+        best = mode.library[int(rows[np.argmin(err)])]
+        plans.append(best)
+        took = min(best.n_exchanges, remaining)
+        remaining -= took
+        cursor += took
+    return plans
 
 
 def _adversarial_session(events: list[tuple], cfg: SimConfig, session_index: int) -> tuple[list[Conn], int]:
     mode = cfg.mode
     plan_rng = substream(cfg.seed, "plans", session_index)
-    frame = cfg.size_model.framed_size
-    remaining = len(events)
-    cursor = 0
-    plans: list[StuffingPlan] = []
-    # The operator schedules each connection onto the library plan whose
-    # shape best matches the queued contents; only sizes the sender knows
-    # ahead of time feed the score.
-    while remaining > 0:
-        best: StuffingPlan | None = None
-        best_err = float("inf")
-        for _ in range(PLAN_CANDIDATES):
-            cand = sample_plan(mode.library, plan_rng)
-            for _ in range(64):
-                if cand.n_exchanges <= remaining:
-                    break
-                cand = sample_plan(mode.library, plan_rng)
-            err = _plan_fit(cand, events[cursor : cursor + cand.n_exchanges], frame)
-            if remaining - min(cand.n_exchanges, remaining) == 1:
-                # a lone leftover exchange would ride an ill-fitting plan;
-                # plan the splits so no orphan connection remains
-                err += 1e6
-            if err < best_err:
-                best, best_err = cand, err
-        plans.append(best)
-        took = min(best.n_exchanges, remaining)
-        remaining -= took
-        cursor += took
-    plans = chain_plans(plans)
+    plans = chain_plans(_schedule_plans(events, mode, plan_rng, cfg.size_model.framed_size))
 
     seeds_payload = mode.side in (StuffSide.PAYLOAD_ONLY, StuffSide.TWO_SIDE)
     # Steady-state assumption: the implant already holds a target carried

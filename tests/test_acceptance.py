@@ -44,6 +44,8 @@ from c2lab.sim import (
     generate_web_traces,
 )
 
+pytestmark = pytest.mark.slow
+
 RUNTIME_BUDGET_SECONDS = 15 * 60
 
 

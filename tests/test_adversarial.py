@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -261,6 +263,85 @@ def test_plan_library_version_gate(tmp_path):
     path.write_text('{"version": 9, "plans": []}')
     with pytest.raises(ValueError):
         adv.load_plan_library(path)
+    for garbage in (b'{"version": 1, "plans": [', b"\xff\xfe\x00"):
+        path.write_bytes(garbage)
+        with pytest.raises(ValueError, match="not a JSON document"):
+            adv.load_plan_library(path)
+
+
+def _set(path, value):
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+def _delete(path):
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        del doc[last]
+    return mutate
+
+
+# (mutation of a saved two-plan library, fragments the error must name)
+LIBRARY_MUTATIONS = {
+    "top-level list": (lambda doc: [doc], ["JSON object"]),
+    "missing plans": (_delete(["plans"]), ["plans"]),
+    "non-list plans": (_set(["plans"], {"0": {}}), ["plans"]),
+    "empty plans": (_set(["plans"], []), ["plans"]),
+    "plan not an object": (_set(["plans", 1], 5), ["plans[1]"]),
+    "missing n_records": (_delete(["plans", 1, "n_records"]), ["plans[1]", "n_records"]),
+    "zero n_records": (_set(["plans", 0, "n_records"], 0), ["plans[0]", "n_records"]),
+    "n_records past the feature length": (_set(["plans", 0, "n_records"], 10**9), ["plans[0]", "n_records"]),
+    "missing targets": (_delete(["plans", 0, "targets"]), ["plans[0]", "targets"]),
+    "two-element target": (_set(["plans", 1, "targets", 0], [0, "payload_to_framework"]), ["plans[1]", "targets[0]"]),
+    "string size": (_set(["plans", 0, "targets", 1, 2], "480"), ["plans[0]", "targets[1].size"]),
+    "float size": (_set(["plans", 0, "targets", 1, 2], 300.5), ["plans[0]", "targets[1].size"]),
+    "bool size": (_set(["plans", 0, "targets", 1, 2], True), ["plans[0]", "targets[1].size"]),
+    "oversized size": (_set(["plans", 0, "targets", 1, 2], 10**30), ["plans[0]", "targets[1].size"]),
+    "float position": (_set(["plans", 0, "targets", 0, 0], 0.0), ["plans[0]", "targets[0].position"]),
+    "position past n_records": (_set(["plans", 0, "targets", 3, 0], 7), ["plans[0]", "targets[3].position"]),
+    "unknown direction": (_set(["plans", 0, "targets", 0, 1], "sideways"), ["plans[0]", "targets[0].direction"]),
+    "float profile entry": (_set(["plans", 1, "profile", 2], 656.0), ["plans[1]", "profile[2]"]),
+    "short profile": (_set(["plans", 1, "profile"], [640]), ["plans[1]", "profile"]),
+    "float carry-over size": (_set(["plans", 0, "first_size_next_conn"], 600.5), ["plans[0]", "first_size_next_conn"]),
+    "missing carry-over size": (_delete(["plans", 0, "first_size_next_conn"]), ["plans[0]", "first_size_next_conn"]),
+    "non-string source_id": (_set(["plans", 0, "source_id"], 3), ["plans[0]", "source_id"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_MUTATIONS))
+def test_malformed_plan_library_names_the_field(tmp_path, name):
+    fv = FeatureVector.from_sizes([640, 480, 656, 512])
+    plans = chain_plans([plan_from_adversarial(fv, StuffSide.TWO_SIDE)] * 2)
+    path = tmp_path / "plans.json"
+    adv.save_plan_library(path, plans, {"epsilon": 0.03})
+    assert adv.load_plan_library(path)[0] == plans
+    mutate, fragments = LIBRARY_MUTATIONS[name]
+    doc = json.loads(path.read_text())
+    doc = mutate(doc) or doc
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        adv.load_plan_library(path)
+    for fragment in [str(path), *fragments]:
+        assert fragment in str(err.value)
+
+
+def test_plan_fields_must_be_ints():
+    dirn = Direction.PAYLOAD_TO_FRAMEWORK
+    for position, size in ((0.0, 640), (True, 640), (0, 640.0), (0, False), (0, "640")):
+        with pytest.raises(ValueError):
+            PlanTarget(position, dirn, size)
+    with pytest.raises(ValueError):
+        StuffingPlan(n_records=2.0, targets=())
+    with pytest.raises(ValueError):
+        StuffingPlan(n_records=2, targets=(), profile=(640, 480.5))
+    with pytest.raises(ValueError):
+        StuffingPlan(n_records=2, targets=(), first_size_next_conn=True)
 
 
 @settings(max_examples=40, deadline=None)

@@ -179,3 +179,36 @@ def test_extract_command(tmp_path, capsys):
 def test_unknown_mode_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["gen", "--mode", "nonsense", "--n", "1", "--out", str(tmp_path / "x.csv")])
+
+
+def _assert_one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("c2lab: error: ")
+    assert "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_bad_detector_exits_2_without_traceback(tmp_path, capsys):
+    model = tmp_path / "bad.bin"
+    model.write_bytes(b"\x05\x00\x00\x00{oops")
+    data = tmp_path / "data.csv"
+    main(["gen", "--mode", "regular", "--n", "3", "--seed", "1", "--out", str(data)])
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--data", str(data)]) == 2
+    _assert_one_line_error(capsys, str(model))
+
+
+def test_bad_plan_library_exits_2_without_traceback(tmp_path, capsys):
+    plans = tmp_path / "plans.json"
+    plans.write_text(json.dumps({"version": 1, "plans": [{"n_records": 2, "targets": [[0, "payload_to_framework", 300.5]], "first_size_next_conn": None}]}))
+    rc = main(["gen", "--mode", "advTwoSide", "--n", "3", "--plans", str(plans), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    _assert_one_line_error(capsys, str(plans), "plans[0]", "targets[0].size")
+
+
+def test_missing_input_exits_2_without_traceback(tmp_path, capsys):
+    missing = tmp_path / "nowhere.csv"
+    rc = main(["train", "--data", str(missing), "--out", str(tmp_path / "m.bin")])
+    assert rc == 2
+    _assert_one_line_error(capsys, str(missing))

@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from c2lab.adversarial import StuffSide, StuffingPlan, PlanTarget
+from c2lab import sim
+from c2lab.adversarial import StuffSide, StuffingPlan, PlanTarget, sample_plan
 from c2lab.model import Direction, MAX_RECORD_SIZE
 from c2lab.sim import (
     Adversarial,
@@ -15,6 +19,7 @@ from c2lab.sim import (
     StuffRandom,
     WebConfig,
     _group_sizes,
+    _schedule_plans,
     _workflow,
     generate_c2_traces,
     generate_web_traces,
@@ -210,3 +215,120 @@ def test_substream_is_label_sensitive():
     assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
         substream(-1, "x")
+
+
+# ---------------------------------------------------------------------------
+# reference scheduler: the per-candidate scalar loop the vectorized one replaced
+
+PLAN_CANDIDATES = 48
+PROFILE_WEIGHT = 0.25
+
+
+def _plan_fit(plan: StuffingPlan, upcoming: list[tuple], frame) -> float:
+    err = 0.0
+    for i in range(min(plan.n_exchanges, len(upcoming))):
+        _, _, req_pt, _, resp_pt = upcoming[i]
+        for pos, content in ((2 * i, frame(req_pt)), (2 * i + 1, frame(resp_pt))):
+            if pos >= plan.n_records:
+                break
+            target = plan.target_at(pos)
+            if target is not None:
+                err += max(0, content - target)
+            elif plan.profile:
+                err += PROFILE_WEIGHT * abs(content - plan.profile[pos])
+    return err
+
+
+def _reference_schedule(events, mode, plan_rng, frame):
+    remaining = len(events)
+    cursor = 0
+    plans: list[StuffingPlan] = []
+    while remaining > 0:
+        best: StuffingPlan | None = None
+        best_err = float("inf")
+        for _ in range(PLAN_CANDIDATES):
+            cand = sample_plan(mode.library, plan_rng)
+            for _ in range(64):
+                if cand.n_exchanges <= remaining:
+                    break
+                cand = sample_plan(mode.library, plan_rng)
+            err = _plan_fit(cand, events[cursor : cursor + cand.n_exchanges], frame)
+            if remaining - min(cand.n_exchanges, remaining) == 1:
+                err += 1e6
+            if err < best_err:
+                best, best_err = cand, err
+        plans.append(best)
+        took = min(best.n_exchanges, remaining)
+        remaining -= took
+        cursor += took
+    return plans
+
+
+@st.composite
+def plan_strategy(draw):
+    # up to 14 exchanges: longer than many two-event sessions
+    n_records = draw(st.integers(1, 28))
+    covered = draw(st.lists(st.booleans(), min_size=n_records, max_size=n_records))
+    sizes = st.integers(32, 6000)
+    dirs = (Direction.PAYLOAD_TO_FRAMEWORK, Direction.FRAMEWORK_TO_PAYLOAD)
+    targets = tuple(
+        PlanTarget(i, dirs[i % 2], draw(sizes)) for i in range(n_records) if covered[i]
+    )
+    profiled = draw(st.booleans())
+    profile = tuple(draw(st.lists(sizes, min_size=n_records, max_size=n_records))) if profiled else ()
+    return StuffingPlan(n_records=n_records, targets=targets, profile=profile)
+
+
+commands = st.tuples(st.integers(30, 90), st.integers(40, 12000))
+scripts = st.lists(
+    st.tuples(commands, st.sampled_from([0.0, 0.3, 2.5, 9.0])), min_size=1, max_size=4
+).map(lambda cs: SessionScript(tuple(Command(f"c{i}", *c) for i, (c, _) in enumerate(cs)), tuple(g for _, g in cs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    library=st.lists(plan_strategy(), min_size=1, max_size=12),
+    side=st.sampled_from(list(StuffSide)),
+    sc=scripts,
+    seed=st.integers(0, 2**16),
+    session_index=st.integers(0, 1000),
+)
+def test_scheduler_matches_scalar_reference(library, side, sc, seed, session_index):
+    cfg = SimConfig(mode=Adversarial(side, tuple(library)), seed=seed)
+    events = _workflow(sc, cfg, 0, 0)
+    frame = cfg.size_model.framed_size
+    fast_rng = substream(seed, "plans", session_index)
+    ref_rng = substream(seed, "plans", session_index)
+    fast = _schedule_plans(events, cfg.mode, fast_rng, frame)
+    ref = _reference_schedule(events, cfg.mode, ref_rng, frame)
+    assert [id(p) for p in fast] == [id(p) for p in ref]
+    # both consumed exactly the same draws
+    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    got = simulate_session(sc, cfg, session_index)
+    with mock.patch.object(sim, "_schedule_plans", _reference_schedule):
+        want = simulate_session(sc, cfg, session_index)
+    assert got.conns == want.conns
+    assert got.missing_next_size == want.missing_next_size
+
+
+def test_scheduler_single_exchange_leftovers_and_unfit_libraries():
+    # a two-exchange plan beside a one-exchange plan, and a library of plans
+    # longer than the session so every candidate keeps its last draw
+    split = (_toy_plan(4, StuffSide.TWO_SIDE), _toy_plan(2, StuffSide.TWO_SIDE))
+    too_long = (_toy_plan(30, StuffSide.FRAMEWORK_ONLY), _toy_plan(27, StuffSide.PAYLOAD_ONLY))
+    sc = script((60, 300), (70, 400), (55, 300))
+    for library in (split, too_long):
+        cfg = SimConfig(mode=Adversarial(StuffSide.TWO_SIDE, library), seed=5)
+        events = _workflow(sc, cfg, 0, 0)
+        for session_index in range(20):
+            fast = _schedule_plans(events, cfg.mode, substream(5, "plans", session_index), CFG.size_model.framed_size)
+            ref = _reference_schedule(events, cfg.mode, substream(5, "plans", session_index), CFG.size_model.framed_size)
+            assert [id(p) for p in fast] == [id(p) for p in ref]
+
+
+@settings(max_examples=100, deadline=None)
+@given(plan=plan_strategy(), position=st.integers(-3, 32))
+def test_target_at_matches_linear_scan(plan, position):
+    scanned = next((t.size for t in plan.targets if t.position == position), None)
+    assert plan.target_at(position) == scanned
