@@ -28,49 +28,14 @@ from .harness import (
 from .model import Dataset, Label, LabeledSample, Provenance, evasion_rate, features_from_trace
 
 
-def _apply_config(ec: ExperimentConfig, doc: dict) -> ExperimentConfig:
-    scalars = {
-        k: doc[k]
-        for k in (
-            "master_seed",
-            "n_train",
-            "n_test",
-            "n_eval",
-            "n_aware_regular",
-            "n_aware_randreq",
-            "n_adv_eval",
-            "overhead_runs",
-        )
-        if k in doc
-    }
-    if "epsilon_sweep" in doc:
-        scalars["epsilon_sweep"] = tuple(doc["epsilon_sweep"])
-    ec = replace(ec, **scalars)
-    if "sim" in doc:
-        sim_doc = dict(doc["sim"])
-        size_kw = {}
-        for k in ("tag_len", "block_len"):
-            if k in sim_doc:
-                size_kw[k] = sim_doc.pop(k)
-        sim = replace(ec.sim, **sim_doc)
-        if size_kw:
-            sim = replace(sim, size_model=replace(sim.size_model, **size_kw))
-        ec = replace(ec, sim=sim)
-    if "web" in doc:
-        ec = replace(ec, web=replace(ec.web, **doc["web"]))
-    if "train" in doc:
-        train_doc = dict(doc["train"])
-        if "hidden_sizes" in train_doc:
-            train_doc["hidden_sizes"] = tuple(train_doc["hidden_sizes"])
-        ec = replace(ec, train=replace(ec.train, **train_doc))
-    return ec
-
-
 def _load_experiment(args) -> ExperimentConfig:
     ec = ExperimentConfig()
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            ec = _apply_config(ec, json.load(fh))
+            try:
+                ec = ExperimentConfig.from_dict(json.load(fh))
+            except ValueError as exc:  # bad JSON, bad UTF-8 or a rejected key
+                raise ValueError(f"{args.config}: {exc}") from None
     if getattr(args, "seed", None) is not None:
         ec = replace(ec, master_seed=args.seed)
     return ec

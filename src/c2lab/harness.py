@@ -12,8 +12,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import numbers
+import sys
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +67,27 @@ class ExperimentConfig:
     web: WebConfig = field(default_factory=WebConfig)
     train: det.TrainConfig = field(default_factory=det.TrainConfig)
 
+    def __post_init__(self) -> None:
+        for name in ("n_train", "n_test", "n_eval", "n_aware_regular", "n_aware_randreq", "n_adv_eval", "overhead_runs"):
+            value = getattr(self, name)
+            low = 0 if name == "overhead_runs" else 1  # zero overhead runs skips that stage
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not self.epsilon_sweep:
+            raise ValueError("epsilon_sweep must not be empty")
+        for i, eps in enumerate(self.epsilon_sweep):
+            if not (math.isfinite(eps) and eps > 0):
+                raise ValueError(f"epsilon_sweep[{i}] must be finite and > 0, got {eps!r}")
+
+    def to_dict(self) -> dict:
+        """The config as a JSON-ready document that from_dict reads back unchanged."""
+        return _section_to_dict(self, "")
+
+    @classmethod
+    def from_dict(cls, doc) -> "ExperimentConfig":
+        """The defaults overridden by a config document; a bad key raises ValueError naming its path."""
+        return _section_from_dict(cls(), doc, "")
+
     def scaled(self, factor: float) -> "ExperimentConfig":
         """Shrink every dataset size for quick runs; structure unchanged."""
 
@@ -80,6 +104,65 @@ class ExperimentConfig:
             n_adv_eval=s(self.n_adv_eval, 80),
             overhead_runs=max(3, int(self.overhead_runs * factor)),
         )
+
+
+# Fields a run derives rather than reads: each stage sets its datasets' traffic
+# mode and seed and its detector's training seed, and the header codec is fixed.
+NOT_CONFIG_KEYS = frozenset({"sim.mode", "sim.seed", "sim.codec", "train.seed"})
+# Nested sections whose keys sit directly in the parent's section.
+_INLINE_SECTIONS = frozenset({"sim.size_model"})
+
+
+def _config_fields(section, prefix: str):
+    """(key path, field name, value) for each field of a section that is a config key."""
+    for f in fields(section):
+        path = prefix + f.name
+        if path not in NOT_CONFIG_KEYS:
+            yield path, f.name, getattr(section, f.name)
+
+
+def _section_to_dict(section, prefix: str) -> dict:
+    doc = {}
+    for path, name, value in _config_fields(section, prefix):
+        if path in _INLINE_SECTIONS:
+            doc.update(_section_to_dict(value, prefix))
+        elif is_dataclass(value):
+            doc[name] = _section_to_dict(value, path + ".")
+        else:
+            doc[name] = list(value) if isinstance(value, tuple) else value
+    return doc
+
+
+def _section_from_dict(section, doc, prefix: str):
+    if not isinstance(doc, dict):
+        raise ValueError(f"{prefix[:-1] or 'config'} must be an object, got {type(doc).__name__}")
+    rest = dict(doc)
+    changes = {}
+    for path, name, value in _config_fields(section, prefix):
+        if path in _INLINE_SECTIONS:
+            inline = {n for _, n, _ in _config_fields(value, prefix)} & rest.keys()
+            changes[name] = _section_from_dict(value, {k: rest.pop(k) for k in inline}, prefix)
+        elif name in rest:
+            raw = rest.pop(name)
+            changes[name] = _section_from_dict(value, raw, path + ".") if is_dataclass(value) else _leaf(value, raw, path)
+    if rest:
+        raise ValueError(f"{prefix}{next(iter(rest))}: unknown config key")
+    try:
+        return replace(section, **changes)
+    except ValueError as exc:  # range checks name the field; add the section
+        raise ValueError(f"{prefix}{exc}") from None
+
+
+def _leaf(default, value, path: str):
+    """A JSON value checked against the type of the field's default."""
+    if isinstance(default, tuple):
+        if not isinstance(value, list):
+            raise ValueError(f"{path}: expected a list, got {value!r}")
+        return tuple(_leaf(default[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    kind, types = ("a finite number", (int, float)) if isinstance(default, float) else ("an integer", int)
+    if isinstance(value, bool) or not isinstance(value, types) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{path}: expected {kind}, got {value!r}")
+    return type(default)(value)
 
 
 MODE_PROVENANCES = (
@@ -450,53 +533,13 @@ def run_overhead(
 # ---------------------------------------------------------------------------
 # whole experiment
 
-def _config_echo(ec: ExperimentConfig) -> dict:
-    sim = ec.sim
-    return {
-        "master_seed": ec.master_seed,
-        "n_train": ec.n_train,
-        "n_test": ec.n_test,
-        "n_eval": ec.n_eval,
-        "n_aware_regular": ec.n_aware_regular,
-        "n_aware_randreq": ec.n_aware_randreq,
-        "n_adv_eval": ec.n_adv_eval,
-        "epsilon_sweep": list(ec.epsilon_sweep),
-        "overhead_runs": ec.overhead_runs,
-        "sim": {
-            "poll_initial": sim.poll_initial,
-            "poll_max": sim.poll_max,
-            "rtt": sim.rtt,
-            "exec_delay": sim.exec_delay,
-            "get_base": sim.get_base,
-            "post_base": sim.post_base,
-            "response_base": sim.response_base,
-            "url_jitter": sim.url_jitter,
-            "response_jitter": sim.response_jitter,
-            "handshake_wire_bytes": sim.handshake_wire_bytes,
-            "mss": sim.mss,
-            "tag_len": sim.size_model.tag_len,
-            "block_len": sim.size_model.block_len,
-        },
-        "web": dict(vars(ec.web)),
-        "train": {
-            "hidden_sizes": list(ec.train.hidden_sizes),
-            "learning_rate": ec.train.learning_rate,
-            "dropout_rate": ec.train.dropout_rate,
-            "batch_size": ec.train.batch_size,
-            "max_epochs": ec.train.max_epochs,
-            "val_fraction": ec.train.val_fraction,
-            "patience": ec.train.patience,
-        },
-    }
-
-
 def run_full_experiment(ec: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     artifacts = Artifacts(out_dir)
     tm1, _baseline = run_threat_model_1(ec, artifacts)
     tm2, _aware, best_libs = run_threat_model_2(ec, artifacts)
     overhead = run_overhead(ec, best_libs[StuffSide.TWO_SIDE], artifacts)
 
-    report = {"config": _config_echo(ec), "threat_model_1": tm1, "threat_model_2": tm2}
+    report = {"config": ec.to_dict(), "threat_model_1": tm1, "threat_model_2": tm2}
     if overhead is not None:
         report["overhead"] = overhead
     if artifacts.root is not None:

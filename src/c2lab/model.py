@@ -127,7 +127,7 @@ class FeatureVector:
                 continue
             if seen_pad:
                 raise ValueError("padding must form a suffix")
-            if v < 1 or v > MAX_RECORD_SIZE:
+            if not 1 <= v <= MAX_RECORD_SIZE:  # also rejects nan
                 raise ValueError(f"feature value {v} outside [1, {MAX_RECORD_SIZE}]")
             if v != int(v):
                 raise ValueError(f"non-integral record size {v}")
@@ -210,12 +210,15 @@ class Dataset:
             if header != csv_header():
                 raise ValueError(f"unexpected CSV header in {path}")
             for lineno, row in enumerate(reader, start=2):
-                if len(row) != FEATURE_LEN + 2:
-                    raise ValueError(f"{path}:{lineno}: expected {FEATURE_LEN + 2} columns")
-                values = tuple(float(v) for v in row[:FEATURE_LEN])
-                label = _label_from_str(row[FEATURE_LEN])
-                provenance = Provenance(row[FEATURE_LEN + 1])
-                samples.append(LabeledSample(FeatureVector(values), label, provenance))
+                try:
+                    if len(row) != FEATURE_LEN + 2:
+                        raise ValueError(f"expected {FEATURE_LEN + 2} columns")
+                    values = tuple(float(v) for v in row[:FEATURE_LEN])
+                    label = _label_from_str(row[FEATURE_LEN])
+                    provenance = Provenance(row[FEATURE_LEN + 1])
+                    samples.append(LabeledSample(FeatureVector(values), label, provenance))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
         return cls(samples, seed)
 
 

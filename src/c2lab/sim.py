@@ -240,11 +240,11 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         if self.poll_initial <= 0 or self.poll_max < self.poll_initial:
-            raise ValueError("poll intervals must satisfy 0 < initial <= max")
+            raise ValueError("poll_initial must be > 0 and <= poll_max")
         if self.handshake_wire_bytes < 600:
-            raise ValueError("handshake budget too small to build a handshake")
+            raise ValueError("handshake_wire_bytes must be >= 600 to build a handshake")
         if self.mss < 600:
-            raise ValueError("mss too small")
+            raise ValueError("mss must be >= 600")
 
 
 @dataclass(frozen=True)
@@ -642,6 +642,15 @@ class WebConfig:
     poll_resp_sigma: float = 1.1
     gap_mean: float = 0.04
     flow_spacing: float = 0.5
+
+    def __post_init__(self) -> None:
+        for name in ("server_prob", "full_record_prob", "ack_prob", "upload_prob", "poll_prob"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in [0, 1]")
+        if not 0 < self.tail_p <= 1:
+            raise ValueError("tail_p must be in (0, 1]")
+        if self.upload_prob + self.poll_prob > 1:
+            raise ValueError("upload_prob + poll_prob must be <= 1")
 
 
 def _upload_records(rng: np.random.Generator, web: WebConfig, t: float) -> list[tuple[float, Direction, int]]:

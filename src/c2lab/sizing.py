@@ -21,9 +21,9 @@ class TlsSizeModel:
 
     def __post_init__(self) -> None:
         if self.tag_len < 0:
-            raise ValueError("negative tag length")
+            raise ValueError("tag_len must be >= 0")
         if self.block_len < 1:
-            raise ValueError("block length must be at least 1")
+            raise ValueError("block_len must be >= 1")
 
     def framed_size(self, plaintext_len: int) -> int:
         """Record length field for a plaintext of the given size."""

@@ -212,3 +212,65 @@ def test_missing_input_exits_2_without_traceback(tmp_path, capsys):
     rc = main(["train", "--data", str(missing), "--out", str(tmp_path / "m.bin")])
     assert rc == 2
     _assert_one_line_error(capsys, str(missing))
+
+
+@pytest.mark.parametrize(
+    "doc, key_path",
+    [
+        ({"n_trian": 5}, "n_trian"),
+        ({"sim": {"get_bse": 5}}, "sim.get_bse"),
+        ({"n_train": True}, "n_train"),
+        ({"n_train": 1.5}, "n_train"),
+        ({"n_train": "5"}, "n_train"),
+        ({"sim": []}, "sim"),
+        ({"epsilon_sweep": 0.05}, "epsilon_sweep"),
+        ({"train": {"hidden_sizes": [64, "x"]}}, "train.hidden_sizes[1]"),
+        ({"sim": {"mode": "regular"}}, "sim.mode"),
+        ({"sim": {"seed": 3}}, "sim.seed"),
+        ({"sim": {"codec": {"padding_name": "X"}}}, "sim.codec"),
+        ({"train": {"seed": 5}}, "train.seed"),
+        ([{"n_train": 5}], "config"),
+        ({"sim": {"size_model": {"tag_len": 16}}}, "sim.size_model"),
+        ({"sim": {"poll_initial": float("nan")}}, "sim.poll_initial"),
+        ({"epsilon_sweep": []}, "epsilon_sweep"),
+        ({"overhead_runs": -1}, "overhead_runs"),
+        ({"train": {"batch_size": 0}}, "train.batch_size"),
+        ({"sim": {"tag_len": -1}}, "sim.tag_len"),
+        ({"web": {"upload_prob": 0.9, "poll_prob": 0.2}}, "web.upload_prob"),
+    ],
+)
+def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, doc, key_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "x.csv"
+    assert main(["gen", "--mode", "regular", "--n", "2", "--config", str(cfg), "--out", str(out)]) == 2
+    _assert_one_line_error(capsys, f"{cfg}: {key_path}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [b'{"master_seed": 3,\n', b"", b'{"sim": {"rtt": 0.05}} x', b"\xff\xfe{}"])
+def test_unreadable_config_names_the_file(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert main(["gen", "--mode", "regular", "--n", "2", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    _assert_one_line_error(capsys, f"c2lab: error: {cfg}: ")
+
+
+def test_report_config_replays_to_identical_artifacts(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "train": {"hidden_sizes": [32, 16], "max_epochs": 3, "beta1": 0.8},
+        "web": {"tail_p": 0.35},
+    }))
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["report", "--scale", "tiny", "--seed", "5", "--config", str(cfg), "--out", str(first)]) == 0
+    echo = json.loads((first / "report.json").read_text())["config"]
+    assert echo["train"]["beta1"] == 0.8 and echo["web"]["tail_p"] == 0.35
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(echo))
+    # the echo holds the already-scaled sizes, so it replays without --scale
+    assert main(["report", "--config", str(replay), "--out", str(second)]) == 0
+    files = json.loads((first / "manifest.json").read_text())["files"]
+    assert files == json.loads((second / "manifest.json").read_text())["files"]
+    for rel in files + ["manifest.json"]:
+        assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel

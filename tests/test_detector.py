@@ -228,7 +228,7 @@ def test_train_config_validation():
     ],
 )
 def test_train_config_names_out_of_range_field(field, value):
-    # --config overrides reach TrainConfig through dataclasses.replace
+    # a config file's train section reaches these checks through ExperimentConfig.from_dict
     with pytest.raises(ValueError, match=field):
         replace(det.TrainConfig(), **{field: value})
 

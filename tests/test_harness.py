@@ -1,13 +1,19 @@
 """Experiment harness: seeding, mode wiring, artifacts, overhead stage."""
 
+import dataclasses
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from c2lab import detector as det
 from c2lab.adversarial import StuffSide, plan_from_adversarial
 from c2lab.harness import (
+    NOT_CONFIG_KEYS,
     Artifacts,
     ExperimentConfig,
     attack_config,
@@ -23,9 +29,12 @@ from c2lab.sim import (
     FixedReqPerConn,
     RandReqPerConn,
     Regular,
+    SimConfig,
     StuffFixed,
     StuffRandom,
+    WebConfig,
 )
+from c2lab.sizing import TlsSizeModel
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +174,160 @@ def test_scaled_keeps_structure():
     assert half.epsilon_sweep == base.epsilon_sweep
     assert half.master_seed == base.master_seed
     assert half.sim == base.sim
+
+
+# ---------------------------------------------------------------------------
+# config schema
+
+@pytest.mark.parametrize(
+    "overrides, fragment",
+    [
+        ({"n_train": 0}, "n_train"),
+        ({"n_test": -3}, "n_test"),
+        ({"n_adv_eval": 2.5}, "n_adv_eval"),
+        ({"n_eval": True}, "n_eval"),
+        ({"overhead_runs": -1}, "overhead_runs"),
+        ({"epsilon_sweep": ()}, "epsilon_sweep"),
+        ({"epsilon_sweep": (0.01, 0.0)}, r"epsilon_sweep\[1\]"),
+        ({"epsilon_sweep": (math.inf,)}, r"epsilon_sweep\[0\]"),
+        ({"epsilon_sweep": (math.nan,)}, r"epsilon_sweep\[0\]"),
+    ],
+)
+def test_experiment_config_names_out_of_range_field(overrides, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        dataclasses.replace(ExperimentConfig(), **overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides, fragment",
+    [
+        ({"tail_p": 0.0}, "tail_p"),
+        ({"tail_p": 1.5}, "tail_p"),
+        ({"server_prob": -0.1}, "server_prob"),
+        ({"full_record_prob": 1.2}, "full_record_prob"),
+        ({"ack_prob": math.nan}, "ack_prob"),
+        ({"upload_prob": 1.1}, "upload_prob"),
+        ({"poll_prob": -0.5}, "poll_prob"),
+        ({"upload_prob": 0.6, "poll_prob": 0.5}, r"upload_prob \+ poll_prob"),
+    ],
+)
+def test_web_config_names_out_of_range_field(overrides, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        WebConfig(**overrides)
+
+
+def test_range_checks_accept_edges_and_scaled_copies():
+    ExperimentConfig(overhead_runs=0, epsilon_sweep=(1e-9,))
+    WebConfig(tail_p=1.0, upload_prob=0.0, poll_prob=1.0, server_prob=1.0, ack_prob=0.0)
+    for factor in (0.02, 0.1):
+        ExperimentConfig().scaled(factor)
+
+
+def _leaf_paths(section, prefix=""):
+    for f in dataclasses.fields(section):
+        path, value = prefix + f.name, getattr(section, f.name)
+        if dataclasses.is_dataclass(value) and path not in NOT_CONFIG_KEYS:
+            yield from _leaf_paths(value, path + ".")
+        else:
+            yield path
+
+
+def _doc_paths(doc, prefix=""):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _doc_paths(value, prefix + key + ".")
+        else:
+            yield prefix + key
+
+
+def test_config_keys_are_every_leaf_but_the_derived_ones():
+    assert NOT_CONFIG_KEYS == {"sim.mode", "sim.seed", "sim.codec", "train.seed"}
+    # size_model's fields sit flat under sim
+    leaves = {p.replace("sim.size_model.", "sim.") for p in _leaf_paths(ExperimentConfig())}
+    emitted = set(_doc_paths(ExperimentConfig().to_dict()))
+    assert emitted == leaves - NOT_CONFIG_KEYS
+    assert {"sim.tag_len", "sim.block_len", "train.beta1", "train.beta2", "train.adam_eps"} <= emitted
+
+
+_unit = st.floats(0.0, 1.0)
+_positive = st.floats(1e-6, 1e3)
+_sizes = st.integers(1, 10**6)
+
+
+@st.composite
+def _configs(draw):
+    poll_initial = draw(_positive)
+    sim = SimConfig(
+        poll_initial=poll_initial,
+        poll_max=poll_initial + draw(st.floats(0.0, 1e3)),
+        rtt=draw(_positive),
+        get_base=draw(st.integers(0, 2000)),
+        response_jitter=draw(st.integers(0, 50)),
+        handshake_wire_bytes=draw(st.integers(600, 10**4)),
+        mss=draw(st.integers(600, 9000)),
+        size_model=TlsSizeModel(draw(st.integers(0, 32)), draw(st.integers(1, 64))),
+    )
+    web = WebConfig(
+        tail_p=draw(st.floats(1e-3, 1.0)),
+        max_records=draw(st.integers(1, 100)),
+        server_prob=draw(_unit),
+        upload_prob=draw(st.floats(0.0, 0.5)),
+        poll_prob=draw(st.floats(0.0, 0.5)),
+        request_mu=draw(st.floats(-10.0, 10.0)),
+        gap_mean=draw(_positive),
+    )
+    train = det.TrainConfig(
+        hidden_sizes=tuple(draw(st.lists(st.integers(1, 4096), max_size=4))),
+        learning_rate=draw(_positive),
+        beta1=draw(st.floats(0.0, 0.999)),
+        adam_eps=draw(st.floats(1e-12, 1e-3)),
+        batch_size=draw(_sizes),
+        patience=draw(_sizes),
+        val_fraction=draw(st.floats(0.01, 0.49)),
+    )
+    return ExperimentConfig(
+        master_seed=draw(st.integers(-(2**62), 2**62)),
+        n_train=draw(_sizes),
+        n_adv_eval=draw(_sizes),
+        epsilon_sweep=tuple(draw(st.lists(_positive, min_size=1, max_size=5))),
+        overhead_runs=draw(st.integers(0, 100)),
+        sim=sim,
+        web=web,
+        train=train,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_configs())
+def test_config_dict_roundtrips_through_json(ec):
+    doc = json.loads(json.dumps(ec.to_dict()))
+    assert ExperimentConfig.from_dict(doc) == ec
+
+
+def test_from_dict_nests_range_errors_under_the_section():
+    with pytest.raises(ValueError, match=r"^train\.batch_size must be"):
+        ExperimentConfig.from_dict({"train": {"batch_size": 0}})
+    with pytest.raises(ValueError, match=r"^sim\.block_len must be"):
+        ExperimentConfig.from_dict({"sim": {"block_len": 0}})
+    with pytest.raises(ValueError, match=r"^web\.tail_p must be"):
+        ExperimentConfig.from_dict({"web": {"tail_p": 0}})
+
+
+def test_from_dict_stores_ints_as_floats_in_float_fields():
+    ec = ExperimentConfig.from_dict({"epsilon_sweep": [1], "sim": {"rtt": 0}})
+    assert ec.epsilon_sweep == (1.0,) and type(ec.epsilon_sweep[0]) is float
+    assert type(ec.sim.rtt) is float
+
+
+def _readme_config_example():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config file", 1)[1].split("\n## ", 1)[0]
+    return json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+
+
+def test_readme_config_example_loads_as_the_defaults():
+    # the documented example spells out the defaults, so it drifts with neither
+    assert ExperimentConfig.from_dict(_readme_config_example()) == ExperimentConfig()
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,36 @@ def test_dataset_csv_rejects_wrong_header(tmp_path):
         Dataset.from_csv(path)
 
 
+@pytest.mark.parametrize(
+    "column, value, fragment",
+    [
+        (0, "abc", "could not convert"),
+        (1, "nan", "outside"),
+        (2, "16409", "outside"),
+        (3, "0", "outside"),
+        (4, "300.5", "non-integral"),
+        (FEATURE_LEN, "benign", "unknown label"),
+        (FEATURE_LEN + 1, "stuff99", "Provenance"),
+        (None, None, f"expected {FEATURE_LEN + 2} columns"),
+    ],
+    ids=["non-numeric", "nan", "too large", "zero", "fractional", "label", "provenance", "short row"],
+)
+def test_dataset_csv_row_errors_name_file_and_line(tmp_path, column, value, fragment):
+    path = tmp_path / "ds.csv"
+    Dataset([_sample([288, 704, 288, 624, 288], Label.C2)] * 3, 0).to_csv(path)
+    lines = path.read_text().splitlines()
+    row = lines[2].split(",")
+    if column is None:
+        row = row[:-1]
+    else:
+        row[column] = value
+    lines[2] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=fragment) as info:
+        Dataset.from_csv(path)
+    assert str(info.value).startswith(f"{path}:3: ")
+
+
 def test_dataset_only_filters_by_label():
     ds = Dataset(
         [_sample([100], Label.C2), _sample([200], Label.NON_C2, Provenance.WEB)], 0
