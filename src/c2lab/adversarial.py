@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .detector import DetectorParams, LABEL_INDEX, input_gradient, normalize
-from .model import FEATURE_LEN, Direction, FeatureVector, Label, MAX_RECORD_SIZE, PAD_VALUE
+from .detector import DetectorParams, input_gradient, normalize
+from .model import FEATURE_LEN, Direction, FeatureVector, Label, MAX_RECORD_SIZE, PAD_VALUE, check_int
 from .sizing import TlsSizeModel
 
 
@@ -90,18 +90,6 @@ def fgsm_raw(
     return adv if np.ndim(x_raw) > 1 else adv[0]
 
 
-def fgsm(
-    params: DetectorParams,
-    x: FeatureVector,
-    y: Label = Label.C2,
-    config: FgsmConfig | None = None,
-) -> FeatureVector:
-    """Realizable adversarial feature vector for a single flow."""
-    config = config or FgsmConfig()
-    adv = fgsm_batch(params, np.asarray(x.values, dtype=np.float64)[None, :], np.array([LABEL_INDEX[y]]), config)
-    return FeatureVector(tuple(adv[0]))
-
-
 def fgsm_batch(
     params: DetectorParams,
     x_raw: np.ndarray,
@@ -109,7 +97,7 @@ def fgsm_batch(
     config: FgsmConfig,
     mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Vectorized fgsm over raw feature rows; returns projected rows."""
+    """FGSM over raw feature rows, projected to realizable record sizes."""
     x = np.atleast_2d(np.asarray(x_raw, dtype=np.float64))
     if config.epsilon == 0.0:
         return x.copy()
@@ -336,13 +324,7 @@ def _plan_from_entry(entry) -> StuffingPlan:
     for key in ("n_records", "targets", "first_size_next_conn"):
         if key not in entry:
             raise ValueError(f"missing field {key!r}")
-
-    def checked(name: str, value, low: int, high: int):
-        if not _is_int(value) or not low <= value <= high:
-            raise ValueError(f"{name} must be an int in [{low}, {high}], got {value!r}")
-        return value
-
-    n_records = checked("n_records", entry["n_records"], 1, FEATURE_LEN)
+    n_records = check_int("n_records", entry["n_records"], 1, FEATURE_LEN)
     targets = entry["targets"]
     if not isinstance(targets, list):
         raise ValueError("targets must be a list")
@@ -357,19 +339,19 @@ def _plan_from_entry(entry) -> StuffingPlan:
             raise ValueError(f"targets[{j}].direction {direction!r} unknown") from None
         parsed.append(
             PlanTarget(
-                checked(f"targets[{j}].position", pos, 0, n_records - 1),
+                check_int(f"targets[{j}].position", pos, 0, n_records - 1),
                 direction,
-                checked(f"targets[{j}].size", size, 1, MAX_RECORD_SIZE),
+                check_int(f"targets[{j}].size", size, 1, MAX_RECORD_SIZE),
             )
         )
     next_size = entry["first_size_next_conn"]
     if next_size is not None:
-        checked("first_size_next_conn", next_size, 1, MAX_RECORD_SIZE)
+        check_int("first_size_next_conn", next_size, 1, MAX_RECORD_SIZE)
     profile = entry.get("profile", [])
     if not isinstance(profile, list):
         raise ValueError("profile must be a list")
     for j, value in enumerate(profile):
-        checked(f"profile[{j}]", value, 0, MAX_RECORD_SIZE)
+        check_int(f"profile[{j}]", value, 0, MAX_RECORD_SIZE)
     source_id = entry.get("source_id", "")
     if not isinstance(source_id, str):
         raise ValueError("source_id must be a string")

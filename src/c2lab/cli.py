@@ -24,6 +24,7 @@ from .harness import (
     build_dataset,
     run_full_experiment,
     run_overhead,
+    write_predictions,
 )
 from .model import Dataset, Label, LabeledSample, Provenance, evasion_rate, features_from_trace
 
@@ -106,13 +107,7 @@ def _cmd_eval(args) -> int:
     ds = Dataset.from_csv(args.data)
     predictions = det.predict(params, [s.features for s in ds.samples])
     if args.out:
-        import csv as _csv
-
-        with open(args.out, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["index", "provenance", "label", "predicted"])
-            for i, (s, p) in enumerate(zip(ds.samples, predictions)):
-                w.writerow([i, s.provenance.value, s.label.value, p.value])
+        write_predictions(args.out, ds, predictions)
     correct = sum(1 for s, p in zip(ds.samples, predictions) if s.label is p)
     print(f"accuracy: {correct / len(ds):.4f} ({correct}/{len(ds)})")
     c2_only = [(s, p) for s, p in zip(ds.samples, predictions) if s.label is Label.C2]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Dataset, FeatureVector, Label, MAX_RECORD_SIZE
+from .model import Dataset, FeatureVector, Label, MAX_RECORD_SIZE, check_int
 
 NORM_SCALE = float(MAX_RECORD_SIZE)
 CLASS_ORDER = (Label.C2, Label.NON_C2)
@@ -55,8 +54,7 @@ class TrainConfig:
             ("patience", self.patience),
             *((f"hidden_sizes[{i}]", n) for i, n in enumerate(self.hidden_sizes)),
         ):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            check_int(name, value, 1)
         for name in ("learning_rate", "adam_eps"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
@@ -163,8 +161,10 @@ def _header_fields(path, header) -> tuple[list[int], list[np.dtype], float]:
     if missing:
         raise ValueError(f"{path}: header lacks {', '.join(missing)}")
     sizes, names, norm_scale = header["layer_sizes"], header["dtypes"], header["norm_scale"]
-    if not isinstance(sizes, list) or len(sizes) < 2 or not all(type(n) is int and n >= 1 for n in sizes):
+    if not isinstance(sizes, list) or len(sizes) < 2:
         raise ValueError(f"{path}: layer_sizes must list at least two integers >= 1, got {sizes!r}")
+    for i, n in enumerate(sizes):
+        check_int(f"{path}: layer_sizes[{i}]", n, 1)
     if not isinstance(names, list) or len(names) != len(sizes) - 1:
         raise ValueError(f"{path}: dtypes must name one dtype for each of {len(sizes) - 1} layers, got {names!r}")
     dtypes = []
@@ -183,10 +183,6 @@ def _header_fields(path, header) -> tuple[list[int], list[np.dtype], float]:
 
 def normalize(x_raw: np.ndarray, norm_scale: float = NORM_SCALE) -> np.ndarray:
     return np.asarray(x_raw, dtype=np.float64) / norm_scale
-
-
-def denormalize(x_norm: np.ndarray, norm_scale: float = NORM_SCALE) -> np.ndarray:
-    return np.asarray(x_norm, dtype=np.float64) * norm_scale
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

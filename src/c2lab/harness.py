@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import sys
 import zlib
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -24,7 +23,7 @@ import numpy as np
 from . import adversarial as adv
 from . import detector as det
 from .adversarial import FgsmConfig, StuffSide
-from .model import Dataset, Label, LabeledSample, Provenance, evasion_rate, features_from_trace
+from .model import Dataset, Label, LabeledSample, Provenance, check_int, evasion_rate, features_from_trace
 from .sim import (
     Adversarial,
     FixedReqPerConn,
@@ -69,10 +68,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_train", "n_test", "n_eval", "n_aware_regular", "n_aware_randreq", "n_adv_eval", "overhead_runs"):
-            value = getattr(self, name)
-            low = 0 if name == "overhead_runs" else 1  # zero overhead runs skips that stage
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            # zero overhead runs skips that stage
+            check_int(name, getattr(self, name), 0 if name == "overhead_runs" else 1)
         if not self.epsilon_sweep:
             raise ValueError("epsilon_sweep must not be empty")
         for i, eps in enumerate(self.epsilon_sweep):
@@ -213,6 +210,15 @@ def mode_for(provenance: Provenance, library: tuple = ()) -> Mode:
     raise ValueError(f"no traffic mode for provenance {provenance}")
 
 
+def write_predictions(path: str | Path, ds: Dataset, predictions: list[Label]) -> None:
+    """One index,provenance,label,predicted row per sample."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["index", "provenance", "label", "predicted"])
+        for i, (sample, pred) in enumerate(zip(ds.samples, predictions)):
+            w.writerow([i, sample.provenance.value, sample.label.value, pred.value])
+
+
 class Artifacts:
     """Collects the run's files; a None root disables persistence."""
 
@@ -236,13 +242,8 @@ class Artifacts:
 
     def save_predictions(self, name: str, ds: Dataset, predictions: list[Label]) -> None:
         p = self._path(f"predictions/{name}.csv")
-        if p is None:
-            return
-        with open(p, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["index", "provenance", "label", "predicted"])
-            for i, (sample, pred) in enumerate(zip(ds.samples, predictions)):
-                w.writerow([i, sample.provenance.value, sample.label.value, pred.value])
+        if p is not None:
+            write_predictions(p, ds, predictions)
 
     def save_json(self, rel: str, obj) -> None:
         p = self._path(rel)

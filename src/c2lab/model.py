@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -20,6 +21,14 @@ PAD_VALUE = -1.0
 # Largest TLS record length field accepted anywhere (2^14 plaintext plus
 # expansion allowance), also used as the normalization scale.
 MAX_RECORD_SIZE = 16408
+
+
+def check_int(name: str, value, low: int, high: int | None = None):
+    """value, if it is an integer (not a bool) in [low, high]; else a ValueError naming name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return value
 
 
 class Direction(enum.Enum):

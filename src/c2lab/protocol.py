@@ -8,7 +8,7 @@ arithmetic asks for is realizable.
 
 Both state machines are single-owner: one framework session object per C2
 session, one payload session object per implant, stepped in lockstep with
-the request/response alternation.
+the request/response alternation by sim.lockstep.
 """
 
 from __future__ import annotations
@@ -238,47 +238,3 @@ def payload_step(
         reuse_connection=reuse,
         state=PayloadSession(pending_next_size=None, missing_next_size=missing),
     )
-
-
-def run_lockstep(
-    plans: Sequence[StuffingPlan],
-    request_plaintexts: Sequence[int],
-    response_plaintexts: Sequence[int],
-    side: StuffSide,
-    codec: HeaderCodec | None = None,
-    size_model: TlsSizeModel | None = None,
-) -> tuple[list[list[int]], int]:
-    """Drive both machines over a chained plan sequence.
-
-    Plaintext sizes are consumed one per message in exchange order. Returns
-    the realized record sizes per connection and the number of closes seen.
-    """
-    codec = codec or HeaderCodec()
-    size_model = size_model or TlsSizeModel()
-    payload = PayloadSession(
-        pending_next_size=plans[0].first_payload_target()
-        if side in (StuffSide.PAYLOAD_ONLY, StuffSide.TWO_SIDE) and plans
-        else None
-    )
-    connections: list[list[int]] = []
-    closes = 0
-    req_iter = iter(request_plaintexts)
-    resp_iter = iter(response_plaintexts)
-    last_headers: Sequence[StuffHeader] | None = None
-    for plan in plans:
-        framework = FrameworkSession(plan=plan, side=side)
-        conn: list[int] = []
-        # Every exchange puts both a request and a response on the wire; an
-        # odd plan simply leaves its closing response without a target.
-        for _ in range(plan.n_exchanges):
-            action = payload_step(payload, last_headers, next(req_iter), size_model)
-            payload = action.state
-            conn.append(action.realized_size)
-            reply = framework_step(framework, next(resp_iter), codec, size_model)
-            framework = reply.state
-            conn.append(reply.realized_size)
-            last_headers = reply.headers
-            if reply.close:
-                closes += 1
-        connections.append(conn)
-    return connections, closes

@@ -20,7 +20,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -28,7 +28,15 @@ import numpy as np
 # perfbench/layers.py wraps to count scalar plan draws
 from .adversarial import StuffingPlan, StuffSide, chain_plans, sample_plan  # noqa: F401
 from .model import Direction, FlowTrace, RecordEvent
-from .protocol import FrameworkSession, HeaderCodec, PayloadSession, framework_step, payload_step
+from .protocol import (
+    FrameworkReply,
+    FrameworkSession,
+    HeaderCodec,
+    PayloadAction,
+    PayloadSession,
+    framework_step,
+    payload_step,
+)
 from .sizing import RECORD_HEADER_LEN, TlsSizeModel
 from .wire import ACK, FIN, FRAME_OVERHEAD, PSH, SYN, PcapWriter, build_frame
 
@@ -245,6 +253,15 @@ class SimConfig:
             raise ValueError("handshake_wire_bytes must be >= 600 to build a handshake")
         if self.mss < 600:
             raise ValueError("mss must be >= 600")
+        for name in ("rtt", "exec_delay", "url_jitter", "response_jitter"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
+        # a jittered base must stay a non-negative plaintext length
+        for name, jitter in (("get_base", "url_jitter"), ("post_base", "url_jitter"), ("response_base", "response_jitter")):
+            value, bound = getattr(self, name), getattr(self, jitter)
+            if value < bound:
+                raise ValueError(f"{name} must be >= {jitter} ({bound}), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -439,43 +456,79 @@ def _schedule_plans(events: list[tuple], mode: Adversarial, plan_rng: np.random.
     return plans
 
 
+def lockstep(
+    plans: Sequence[StuffingPlan],
+    side: StuffSide,
+    exchanges: Iterable[tuple[int, int]],
+    codec: HeaderCodec | None = None,
+    size_model: TlsSizeModel | None = None,
+) -> Iterator[tuple[int, PayloadAction, FrameworkReply]]:
+    """Step the payload and framework machines over a chained plan sequence.
+
+    exchanges holds one (request plaintext, response plaintext) pair per
+    exchange, consumed in order; each yields (plan index, payload action,
+    framework reply). A plan's last exchange closes its connection; an odd
+    plan's closing response has no position to target. When the exchanges
+    run out partway through a plan, the run stops there and that connection
+    gets no close.
+    """
+    # Steady-state assumption: the implant already holds a target carried
+    # over from before this session.
+    seeds_payload = plans and side in (StuffSide.PAYLOAD_ONLY, StuffSide.TWO_SIDE)
+    payload = PayloadSession(pending_next_size=plans[0].first_payload_target() if seeds_payload else None)
+    last_headers = None
+    pairs = iter(exchanges)
+    for i, plan in enumerate(plans):
+        framework = FrameworkSession(plan=plan, side=side)
+        for _ in range(plan.n_exchanges):
+            pair = next(pairs, None)
+            if pair is None:
+                return
+            action = payload_step(payload, last_headers, pair[0], size_model)
+            reply = framework_step(framework, pair[1], codec, size_model)
+            payload, framework, last_headers = action.state, reply.state, reply.headers
+            yield i, action, reply
+
+
+def run_lockstep(
+    plans: Sequence[StuffingPlan],
+    request_plaintexts: Sequence[int],
+    response_plaintexts: Sequence[int],
+    side: StuffSide,
+    codec: HeaderCodec | None = None,
+    size_model: TlsSizeModel | None = None,
+) -> tuple[list[list[int]], int]:
+    """Realized record sizes per connection, and the closes seen, of a lockstep run.
+
+    Plaintext sizes are consumed one per message in exchange order.
+    """
+    connections: list[list[int]] = []
+    closes = 0
+    for i, action, reply in lockstep(plans, side, zip(request_plaintexts, response_plaintexts), codec, size_model):
+        if i == len(connections):
+            connections.append([])
+        connections[i] += (action.realized_size, reply.realized_size)
+        closes += reply.close
+    return connections, closes
+
+
 def _adversarial_session(events: list[tuple], cfg: SimConfig, session_index: int) -> tuple[list[Conn], int]:
     mode = cfg.mode
     plan_rng = substream(cfg.seed, "plans", session_index)
     plans = chain_plans(_schedule_plans(events, mode, plan_rng, cfg.size_model.framed_size))
-
-    seeds_payload = mode.side in (StuffSide.PAYLOAD_ONLY, StuffSide.TWO_SIDE)
-    # Steady-state assumption: the implant already holds a target carried
-    # over from before this session.
-    payload = PayloadSession(
-        pending_next_size=plans[0].first_payload_target() if seeds_payload else None
-    )
-    last_headers = None
-    conns: list[Conn] = []
-    ev = iter(events)
-    for plan in plans:
-        fw = FrameworkSession(plan=plan, side=mode.side)
-        group: list[tuple[str, Msg, Msg]] = []
-        for _ in range(plan.n_exchanges):
-            item = next(ev, None)
-            if item is None:
-                break
-            kind, t_req, req_pt, t_resp, resp_pt = item
-            action = payload_step(payload, last_headers, req_pt, cfg.size_model)
-            payload = action.state
-            reply = framework_step(fw, resp_pt, cfg.codec, cfg.size_model)
-            fw = reply.state
-            last_headers = reply.headers
-            group.append(
-                (
-                    kind,
-                    Msg(round(t_req, 6), Direction.PAYLOAD_TO_FRAMEWORK, req_pt, action.stuffing, action.realized_size),
-                    Msg(t_resp, Direction.FRAMEWORK_TO_PAYLOAD, resp_pt, reply.stuffing, reply.realized_size),
-                )
+    steps = lockstep(plans, mode.side, ((ev[2], ev[4]) for ev in events), cfg.codec, cfg.size_model)
+    groups: list[list[tuple[str, Msg, Msg]]] = []
+    for (kind, t_req, req_pt, t_resp, resp_pt), (i, action, reply) in zip(events, steps):
+        if i == len(groups):
+            groups.append([])
+        groups[i].append(
+            (
+                kind,
+                Msg(round(t_req, 6), Direction.PAYLOAD_TO_FRAMEWORK, req_pt, action.stuffing, action.realized_size),
+                Msg(t_resp, Direction.FRAMEWORK_TO_PAYLOAD, resp_pt, reply.stuffing, reply.realized_size),
             )
-        if group:
-            conns.append(Conn(tuple(group)))
-    return conns, payload.missing_next_size
+        )
+    return [Conn(tuple(g)) for g in groups], action.state.missing_next_size
 
 
 # ---------------------------------------------------------------------------

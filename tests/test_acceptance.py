@@ -30,7 +30,7 @@ from c2lab.detector import DetectorParams, forward, input_gradient, loss_on, nor
 from c2lab.extract import traces_from_pcap
 from c2lab.harness import ExperimentConfig, report_bytes, run_full_experiment
 from c2lab.model import Direction, FeatureVector, features_from_trace
-from c2lab.protocol import HeaderCodec, run_lockstep
+from c2lab.protocol import HeaderCodec
 from c2lab.sim import (
     Adversarial,
     FixedReqPerConn,
@@ -42,6 +42,7 @@ from c2lab.sim import (
     emit_pcap,
     generate_c2_traces,
     generate_web_traces,
+    run_lockstep,
 )
 
 pytestmark = pytest.mark.slow

@@ -14,7 +14,6 @@ from c2lab.adversarial import (
     alternating_directions,
     build_plan_library,
     chain_plans,
-    fgsm,
     fgsm_batch,
     fgsm_raw,
     plan_from_adversarial,
@@ -122,14 +121,6 @@ def test_raw_step_is_exactly_epsilon_scaled():
     delta = np.abs(out - x)
     step = 0.05 * params.norm_scale
     assert np.all((delta == 0) | np.isclose(delta, step))
-
-
-def test_single_vector_wrapper_returns_valid_features():
-    params = params_fixture()
-    fv = FeatureVector.from_sizes([304, 192, 704, 192, 624, 208])
-    out = fgsm(params, fv, config=FgsmConfig(epsilon=0.05))
-    assert isinstance(out, FeatureVector)
-    assert out.n_records == 6
 
 
 def test_fgsm_config_validation():

@@ -237,6 +237,14 @@ def test_missing_input_exits_2_without_traceback(tmp_path, capsys):
         ({"train": {"batch_size": 0}}, "train.batch_size"),
         ({"sim": {"tag_len": -1}}, "sim.tag_len"),
         ({"web": {"upload_prob": 0.9, "poll_prob": 0.2}}, "web.upload_prob"),
+        ({"sim": {"rtt": -1}}, "sim.rtt"),
+        ({"sim": {"exec_delay": -1}}, "sim.exec_delay"),
+        ({"sim": {"url_jitter": -1}}, "sim.url_jitter"),
+        ({"sim": {"response_jitter": -1}}, "sim.response_jitter"),
+        ({"sim": {"get_base": -5}}, "sim.get_base"),
+        ({"sim": {"get_base": 20, "url_jitter": 30}}, "sim.get_base"),
+        ({"sim": {"post_base": 11}}, "sim.post_base"),
+        ({"sim": {"response_base": 3}}, "sim.response_base"),
     ],
 )
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, doc, key_path):

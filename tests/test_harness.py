@@ -219,6 +219,8 @@ def test_web_config_names_out_of_range_field(overrides, fragment):
 def test_range_checks_accept_edges_and_scaled_copies():
     ExperimentConfig(overhead_runs=0, epsilon_sweep=(1e-9,))
     WebConfig(tail_p=1.0, upload_prob=0.0, poll_prob=1.0, server_prob=1.0, ack_prob=0.0)
+    SimConfig(rtt=0.0, exec_delay=0.0, url_jitter=0, response_jitter=0, get_base=0, post_base=0, response_base=0)
+    SimConfig(url_jitter=40, response_jitter=9, get_base=40, post_base=40, response_base=9)
     for factor in (0.02, 0.1):
         ExperimentConfig().scaled(factor)
 
@@ -257,11 +259,13 @@ _sizes = st.integers(1, 10**6)
 @st.composite
 def _configs(draw):
     poll_initial = draw(_positive)
+    url_jitter = draw(st.integers(0, 50))
     sim = SimConfig(
         poll_initial=poll_initial,
         poll_max=poll_initial + draw(st.floats(0.0, 1e3)),
         rtt=draw(_positive),
-        get_base=draw(st.integers(0, 2000)),
+        url_jitter=url_jitter,
+        get_base=url_jitter + draw(st.integers(0, 2000)),
         response_jitter=draw(st.integers(0, 50)),
         handshake_wire_bytes=draw(st.integers(600, 10**4)),
         mss=draw(st.integers(600, 9000)),

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +14,7 @@ from c2lab.model import (
     LabeledSample,
     Provenance,
     RecordEvent,
+    check_int,
     evasion_rate,
     features_from_trace,
 )
@@ -177,3 +179,14 @@ def test_dataset_only_filters_by_label():
         [_sample([100], Label.C2), _sample([200], Label.NON_C2, Provenance.WEB)], 0
     )
     assert [s.label for s in ds.only(Label.C2)] == [Label.C2]
+
+
+@pytest.mark.parametrize("value, low, high", [(True, 0, None), (2.0, 0, None), ("3", 0, None), (-1, 0, None), (5, 1, 4)])
+def test_check_int_rejects_and_names_the_field(value, low, high):
+    with pytest.raises(ValueError, match=r"^sim\.x must be an integer (>=|in) "):
+        check_int("sim.x", value, low, high)
+
+
+def test_check_int_accepts_any_integral_within_bounds():
+    assert check_int("x", 0, 0) == 0
+    assert check_int("x", np.int64(4), 1, 4) == 4

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from c2lab.adversarial import StuffSide, chain_plans, plan_from_adversarial
-from c2lab.model import FeatureVector
+from c2lab.model import FEATURE_LEN, FeatureVector
 from c2lab.protocol import (
     CodecError,
     FrameworkSession,
@@ -14,7 +14,16 @@ from c2lab.protocol import (
     ProtocolError,
     framework_step,
     payload_step,
+)
+from c2lab.sim import (
+    Adversarial,
+    SimConfig,
+    _schedule_plans,
+    lockstep,
     run_lockstep,
+    sample_script,
+    simulate_session,
+    substream,
 )
 from c2lab.sizing import TlsSizeModel
 
@@ -229,3 +238,118 @@ def test_lockstep_odd_plan_leaves_tail_response_bare():
     (conn,) = conns
     assert conn[:3] == [640, 480, 720]
     assert conn[3] == SIZE.framed_size(100)  # position 3 has no target
+
+
+# ---------------------------------------------------------------------------
+# the lockstep driver over random chained plans
+
+PAYLOAD_SIDES = (StuffSide.PAYLOAD_ONLY, StuffSide.TWO_SIDE)
+FRAMEWORK_SIDES = (StuffSide.FRAMEWORK_ONLY, StuffSide.TWO_SIDE)
+
+sides = st.sampled_from(list(StuffSide))
+# crafted plans, each for its own side, so a run may meet plans it cannot stuff
+plans_st = st.lists(
+    st.builds(
+        lambda sizes, side: plan_from_adversarial(FeatureVector.from_sizes(sizes), side),
+        st.lists(st.integers(1, 4000), min_size=1, max_size=FEATURE_LEN),
+        sides,
+    ),
+    min_size=1,
+    max_size=6,
+).map(chain_plans)
+plaintexts = st.tuples(st.integers(0, 3000), st.integers(0, 3000))
+
+
+def _exchange_targets(plans, side):
+    """(plan index, request target, response target) per exchange, read off the plans."""
+    return [
+        (
+            i,
+            plan.target_at(2 * k) if side in PAYLOAD_SIDES else None,
+            plan.target_at(2 * k + 1) if side in FRAMEWORK_SIDES else None,
+        )
+        for i, plan in enumerate(plans)
+        for k in range(plan.n_exchanges)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(plans=plans_st, side=sides, data=st.data())
+def test_lockstep_realizes_each_target_the_content_allows(plans, side, data):
+    targets = _exchange_targets(plans, side)
+    pairs = data.draw(st.lists(plaintexts, min_size=len(targets), max_size=len(targets)))
+    steps = list(lockstep(plans, side, pairs))
+    assert [i for i, _, _ in steps] == [i for i, _, _ in targets]
+    for j, ((_i, action, reply), (req_pt, resp_pt)) in enumerate(zip(steps, pairs)):
+        # the response announces the next request's target, if there is one
+        announced = targets[j + 1][1] if j + 1 < len(targets) else None
+        control = CODEC.encoded_len(CODEC.make_next_size(announced)) if announced is not None else 0
+        for realized, content, target in (
+            (action.realized_size, SIZE.framed_size(req_pt), targets[j][1]),
+            (reply.realized_size, SIZE.framed_size(resp_pt + control), targets[j][2]),
+        ):
+            assert realized >= content
+            if target is not None and target >= content:
+                assert realized == target
+            else:
+                assert realized == content
+
+
+@settings(max_examples=200, deadline=None)
+@given(plans=plans_st, side=sides, data=st.data())
+def test_lockstep_full_run_closes_each_plan_once(plans, side, data):
+    n = sum(p.n_exchanges for p in plans)
+    pairs = data.draw(st.lists(plaintexts, min_size=n, max_size=n))
+    conns, closes = run_lockstep(plans, [q for q, _ in pairs], [r for _, r in pairs], side)
+    assert closes == len(plans) == len(conns)
+    assert [len(c) for c in conns] == [2 * p.n_exchanges for p in plans]
+    # only a plan's last exchange closes
+    ends = np.cumsum([p.n_exchanges for p in plans]) - 1
+    assert [j for j, (_, _, reply) in enumerate(lockstep(plans, side, pairs)) if reply.close] == ends.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(plans=plans_st, side=sides, data=st.data())
+def test_lockstep_counts_requests_that_heard_no_size(plans, side, data):
+    targets = _exchange_targets(plans, side)
+    pairs = data.draw(st.lists(plaintexts, min_size=len(targets), max_size=len(targets)))
+    *_, (_, action, _) = lockstep(plans, side, pairs)
+    assert action.state.missing_next_size == sum(req is None for _, req, _ in targets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plans=plans_st, side=sides, data=st.data())
+def test_lockstep_short_input_truncates_the_last_connection(plans, side, data):
+    n = sum(p.n_exchanges for p in plans)
+    pairs = data.draw(st.lists(plaintexts, min_size=n, max_size=n))
+    cut = data.draw(st.integers(0, n - 1))
+    full, _ = run_lockstep(plans, [q for q, _ in pairs], [r for _, r in pairs], side)
+    conns, closes = run_lockstep(plans, [q for q, _ in pairs[:cut]], [r for _, r in pairs[:cut]], side)
+    flat_full = [size for conn in full for size in conn]
+    assert [size for conn in conns for size in conn] == flat_full[: 2 * cut]
+    complete = int(np.searchsorted(np.cumsum([p.n_exchanges for p in plans]), cut, side="right"))
+    assert closes == complete
+    assert [len(c) for c in conns[:complete]] == [len(c) for c in full[:complete]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    library=st.lists(
+        st.lists(st.integers(1, 4000), min_size=1, max_size=FEATURE_LEN).map(FeatureVector.from_sizes),
+        min_size=1,
+        max_size=8,
+    ),
+    side=sides,
+    seed=st.integers(0, 2**16),
+    session_index=st.integers(0, 1000),
+)
+def test_simulated_session_sizes_are_the_lockstep_run_of_its_plans(library, side, seed, session_index):
+    cfg = SimConfig(mode=Adversarial(side, tuple(plan_from_adversarial(fv, side) for fv in library)), seed=seed)
+    sc = sample_script(substream(seed, "script"), n_commands=(1, 3))
+    result = simulate_session(sc, cfg, session_index)
+    exchanges = [(kind, req.time, req.content, resp.time, resp.content) for c in result.conns for kind, req, resp in c.exchanges]
+    plans = chain_plans(
+        _schedule_plans(exchanges, cfg.mode, substream(seed, "plans", session_index), cfg.size_model.framed_size)
+    )
+    conns, _ = run_lockstep(plans, [ev[2] for ev in exchanges], [ev[4] for ev in exchanges], side, cfg.codec, cfg.size_model)
+    assert conns == [[m.size for m in c.records()] for c in result.conns]
