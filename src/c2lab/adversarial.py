@@ -187,12 +187,6 @@ class StuffingPlan:
             return self._by_position[position]
         return None
 
-    def first_payload_target(self) -> int | None:
-        for t in self.targets:
-            if t.direction is Direction.PAYLOAD_TO_FRAMEWORK:
-                return t.size
-        return None
-
 
 def alternating_directions(n: int, first: Direction = Direction.PAYLOAD_TO_FRAMEWORK) -> tuple[Direction, ...]:
     """Request/response alternation: the client speaks on even positions."""
@@ -243,12 +237,13 @@ def sample_plan(library: Sequence[StuffingPlan], rng: np.random.Generator) -> St
 
 
 def chain_plans(plans: Sequence[StuffingPlan]) -> list[StuffingPlan]:
-    """Fill each plan's carry-over size from its successor's first payload target."""
+    """Fill each plan's carry-over size from its successor's target at
+    position 0, its first request (None when that position has no target)."""
     from dataclasses import replace
 
     chained = []
     for i, plan in enumerate(plans):
-        nxt = plans[i + 1].first_payload_target() if i + 1 < len(plans) else None
+        nxt = plans[i + 1].target_at(0) if i + 1 < len(plans) else None
         chained.append(replace(plan, first_size_next_conn=nxt))
     return chained
 

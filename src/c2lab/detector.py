@@ -32,6 +32,23 @@ _MAGIC = b"SZMLP1\n"
 # scratch take about 1 MB, inside a core's L2 cache.
 _ADAM_CHUNK = 1 << 15
 
+# Training keeps float32 arithmetic off subnormal values, which x86 handles
+# far more slowly than normal ones. Two flushes drop values below
+# _FLUSH_BELOW: softmax outputs in the training backward pass, and Adam first
+# moments that would decay to subnormals. Both are numerically inert. A
+# dropped value changes a gradient or a moment by about its own size (times
+# activations and weights of order one), and reaches a weight only through
+# m / (sqrt(v) + eps), where eps = 1e-8 caps the amplification: the weight
+# moves by about lr_t * 1e-30 / 1e-8, 1e-25 at the default learning rate, far
+# less than half an ulp of any weight the net holds. The float64 input
+# gradient keeps exact softmax values.
+_FLUSH_BELOW = 1e-30
+# Adam steps between first-moment flushes. A flush zeroes |m| below
+# tiny / beta1**period (capped at _FLUSH_BELOW), so a zero-gradient moment
+# stays normal until the next flush; scanning every step would cost more than
+# the subnormals do.
+_MOMENT_FLUSH_PERIOD = 16
+
 
 @dataclass
 class TrainConfig:
@@ -269,27 +286,46 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(lse - z[np.arange(len(z)), y]))
 
 
-def _backward(params: DetectorParams, cache, logits, y, input_grad: bool = False) -> tuple[list, list, np.ndarray | None]:
-    """Gradients of mean cross-entropy wrt every weight and bias, and wrt the
-    input when input_grad is set (None otherwise). cache is _forward_core's."""
+def _output_delta(logits: np.ndarray, y: np.ndarray, flush_below: float) -> np.ndarray:
+    """d(mean cross-entropy)/d(logits): softmax minus one-hot over the batch
+    size, with softmax outputs below flush_below counted as zero."""
     n = len(logits)
     delta = _softmax(logits)
+    if flush_below:
+        np.putmask(delta, delta < flush_below, 0.0)
     delta[np.arange(n), y] -= 1.0
     delta /= n
+    return delta
+
+
+def _hidden_delta(w: np.ndarray, delta: np.ndarray, h: np.ndarray, mask) -> np.ndarray:
+    """Carry delta back through w to the hidden layer whose output (after
+    ReLU and any dropout mask) is h."""
+    delta = delta @ w.T
+    if mask is not None:
+        delta *= mask
+    delta *= h > 0
+    return delta
+
+
+def _backward(params: DetectorParams, cache, logits, y) -> tuple[list, list]:
+    """Gradients of mean cross-entropy wrt every weight and bias, for training.
+
+    cache is _forward_core's. Softmax outputs below _FLUSH_BELOW count as
+    zero, so each output delta moves by less than _FLUSH_BELOW / n, and a
+    row the net gets right with its other output below the cutoff
+    contributes exactly nothing.
+    """
+    delta = _output_delta(logits, y, _FLUSH_BELOW)
     grads_w = [None] * len(params.weights)
     grads_b = [None] * len(params.biases)
     for i in range(len(params.weights) - 1, -1, -1):
         h, mask = cache[i]
         grads_w[i] = h.T @ delta
         grads_b[i] = delta.sum(axis=0)
-        if i == 0 and not input_grad:
-            return grads_w, grads_b, None
-        delta = delta @ params.weights[i].T
         if i > 0:
-            if mask is not None:
-                delta *= mask
-            delta *= h > 0
-    return grads_w, grads_b, delta
+            delta = _hidden_delta(params.weights[i], delta, h, mask)
+    return grads_w, grads_b
 
 
 def _float64(params: DetectorParams) -> DetectorParams:
@@ -313,7 +349,11 @@ def input_gradient(params: DetectorParams, x_norm: np.ndarray, y: np.ndarray | i
     p64 = _float64(params)
     cache: list = []
     logits = _forward_core(p64, x, cache=cache)
-    _, _, dx = _backward(p64, cache, logits, y_arr, input_grad=True)
+    # exact softmax: FGSM takes the sign of every entry, tiny ones included
+    delta = _output_delta(logits, y_arr, 0.0)
+    for i in range(len(p64.weights) - 1, 0, -1):
+        delta = _hidden_delta(p64.weights[i], delta, *cache[i])
+    dx = delta @ p64.weights[0].T
     dx *= len(x)  # undo the batch mean: per-sample gradients
     return dx if np.ndim(x_norm) > 1 else dx[0]
 
@@ -395,7 +435,7 @@ def train_arrays(x_raw: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple
             cache: list = []
             logits = _forward_core(params, xb, config.dropout_rate, drop_rng, cache)
             batch_losses.append(cross_entropy(logits, yb))
-            grads_w, grads_b, _ = _backward(params, cache, logits, yb)
+            grads_w, grads_b = _backward(params, cache, logits, yb)
             _adam_step(params, state, grads_w, grads_b, config)
         val_probs = forward(params, x_val)
         val_pred = val_probs.argmax(axis=1)
@@ -426,12 +466,14 @@ def _adam_step(params, state, grads_w, grads_b, config: TrainConfig) -> None:
         target -= lr_t * m / (sqrt(v) + eps)
     with every temporary in the state's scratch buffers. Each tensor is
     updated a chunk of rows at a time so the operands stay in cache between
-    the passes.
+    the passes. Every _MOMENT_FLUSH_PERIOD steps, after the update, first
+    moments that would decay to subnormals before the next flush are zeroed.
     """
     state.t += 1
     lr_t = config.learning_rate * (
         np.sqrt(1 - config.beta2**state.t) / (1 - config.beta1**state.t)
     )
+    flush = state.t % _MOMENT_FLUSH_PERIOD == 0
     for i in range(len(params.weights)):
         for target, grad, m, v in (
             (params.weights[i], grads_w[i], state.m_w[i], state.v_w[i]),
@@ -454,6 +496,16 @@ def _adam_step(params, state, grads_w, grads_b, config: TrainConfig) -> None:
                 np.multiply(lr_t, mc, out=update)
                 update /= tmp
                 tg -= update
+                if flush:
+                    np.abs(mc, out=tmp)
+                    np.putmask(mc, tmp < _moment_floor(mc.dtype, config.beta1), 0.0)
+
+
+def _moment_floor(dtype: np.dtype, beta1: float) -> float:
+    """Smallest first moment that stays normal over _MOMENT_FLUSH_PERIOD
+    zero-gradient steps, capped at _FLUSH_BELOW (for a small beta1)."""
+    tiny = float(np.finfo(dtype).tiny)
+    return tiny / max(beta1**_MOMENT_FLUSH_PERIOD, tiny / _FLUSH_BELOW)
 
 
 def accuracy(params: DetectorParams, dataset: Dataset) -> float:

@@ -472,10 +472,10 @@ def lockstep(
     run out partway through a plan, the run stops there and that connection
     gets no close.
     """
-    # Steady-state assumption: the implant already holds a target carried
-    # over from before this session.
+    # Steady-state assumption: the implant already holds the first request's
+    # target, carried over from before this session.
     seeds_payload = plans and side in (StuffSide.PAYLOAD_ONLY, StuffSide.TWO_SIDE)
-    payload = PayloadSession(pending_next_size=plans[0].first_payload_target() if seeds_payload else None)
+    payload = PayloadSession(pending_next_size=plans[0].target_at(0) if seeds_payload else None)
     last_headers = None
     pairs = iter(exchanges)
     for i, plan in enumerate(plans):

@@ -150,12 +150,11 @@ def test_plan_from_adversarial_covers_one_side():
     assert [(t.position, t.size) for t in plan.targets] == [(1, 480), (3, 496)]
     assert all(t.direction is Direction.FRAMEWORK_TO_PAYLOAD for t in plan.targets)
     assert plan.profile == (640, 480, 656, 496)
-    assert plan.first_payload_target() is None
     assert plan.target_at(1) == 480 and plan.target_at(0) is None
 
     both = plan_from_adversarial(fv, StuffSide.TWO_SIDE)
     assert len(both.targets) == 4
-    assert both.first_payload_target() == 640
+    assert both.target_at(0) == 640
 
 
 def test_plan_validation():
@@ -184,6 +183,13 @@ def test_chain_plans_carries_next_first_request():
     chained = chain_plans(plans)
     assert chained[0].first_size_next_conn == 720
     assert chained[1].first_size_next_conn is None
+
+
+def test_chain_plans_carries_nothing_for_an_uncovered_first_request():
+    # the successor targets a later request only; its first request stays bare
+    later_only = StuffingPlan(4, (PlanTarget(2, Direction.PAYLOAD_TO_FRAMEWORK, 900),))
+    first, _ = chain_plans([plan_from_adversarial(FeatureVector.from_sizes([640, 480]), StuffSide.TWO_SIDE), later_only])
+    assert first.first_size_next_conn is None
 
 
 def test_sample_plan_uniform_and_empty():

@@ -1,9 +1,14 @@
 """Command line interface, driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import c2lab
 from c2lab import adversarial as adv
 from c2lab import detector as det
 from c2lab.adversarial import StuffSide, plan_from_adversarial
@@ -282,3 +287,22 @@ def test_report_config_replays_to_identical_artifacts(tmp_path):
     assert files == json.loads((second / "manifest.json").read_text())["files"]
     for rel in files + ["manifest.json"]:
         assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
+
+
+def test_report_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # OpenBLAS reads its thread count once, at load, so each count needs its
+    # own interpreter; a split of the matmuls must not reach any artifact
+    src = str(Path(c2lab.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        argv = [sys.executable, "-m", "c2lab.cli", "report", "--scale", "tiny", "--seed", "7", "--out", str(out)]
+        subprocess.run(argv, env=env, check=True, capture_output=True, timeout=600)
+        outs.append(out)
+    files = json.loads((outs[0] / "manifest.json").read_text())["files"]
+    assert any(f.endswith(".bin") for f in files)
+    assert files == json.loads((outs[1] / "manifest.json").read_text())["files"]
+    for rel in files + ["manifest.json"]:
+        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel

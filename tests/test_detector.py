@@ -287,18 +287,175 @@ def test_adam_step_is_bit_identical_to_allocating_update(monkeypatch, chunk):
             assert np.array_equal(a, b)
 
 
-def test_backward_parameter_gradients_ignore_input_gradient_flag():
-    params = small_params(seed=4, dtype="float32", hidden=(32, 16))
-    x = det.normalize(random_rows(np.random.default_rng(6), 24)).astype(np.float32)
-    y = np.arange(24) % 2
+def _reference_backward(params, cache, logits, y):
+    # the full backward pass from exact softmax values: every parameter
+    # gradient and the input gradient
+    n = len(logits)
+    delta = det._softmax(logits)
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grads_w = [None] * len(params.weights)
+    grads_b = [None] * len(params.biases)
+    for i in range(len(params.weights) - 1, -1, -1):
+        h, mask = cache[i]
+        grads_w[i] = h.T @ delta
+        grads_b[i] = delta.sum(axis=0)
+        delta = delta @ params.weights[i].T
+        if i > 0:
+            if mask is not None:
+                delta *= mask
+            delta *= h > 0
+    return grads_w, grads_b, delta
+
+
+def _confident_batch(dtype, seed=4, n=48):
+    # a large output layer pushes many rows' logit margins past the flush
+    # cutoff; labels mostly follow the net's own predictions
+    params = small_params(seed=seed, dtype=dtype, hidden=(32, 16))
+    params.weights[-1] *= 400.0
+    x = det.normalize(random_rows(np.random.default_rng(6), n)).astype(dtype)
+    probs = det.forward(params, x)
+    y = probs.argmax(axis=1)
+    y[:4] = 1 - y[:4]  # and a few wrong rows
+    # rows the net gets right with the other output below the cutoff
+    settled = (probs.min(axis=1) < det._FLUSH_BELOW) & (probs.argmax(axis=1) == y)
+    assert 0 < settled.sum() < n
+    return params, x, y, settled
+
+
+def test_input_gradient_skips_parameter_gradients_bit_for_bit():
+    params, x, y, settled = _confident_batch("float64")
+    cache: list = []
+    logits = det._forward_core(params, x, cache=cache)
+    *_, want = _reference_backward(params, cache, logits, y)
+    want *= len(x)
+    got = det.input_gradient(params, x, y)
+    assert np.array_equal(got, want)
+    # softmax entries below the training cutoff still reach the input gradient
+    assert np.all(np.any(got[settled] != 0, axis=1))
+
+
+def _flush_bound(params, cache, n):
+    # every flushed softmax entry is below the cutoff, so each output delta
+    # moves by less than cutoff / n; carry that back through |w| and the masks
+    d = np.full((n, params.layer_sizes[-1]), det._FLUSH_BELOW / n)
+    bounds_w, bounds_b = [None] * len(params.weights), [None] * len(params.weights)
+    for i in range(len(params.weights) - 1, -1, -1):
+        h, mask = cache[i]
+        h = h.astype(np.float64)
+        bounds_w[i] = np.abs(h).T @ d
+        bounds_b[i] = d.sum(axis=0)
+        d = d @ np.abs(params.weights[i].astype(np.float64)).T
+        if mask is not None:
+            d *= mask
+        d *= h > 0
+    return bounds_w, bounds_b
+
+
+def test_training_backward_flushes_only_what_the_cutoff_bounds():
+    params, x, y, settled = _confident_batch("float32")
     cache: list = []
     logits = det._forward_core(params, x, 0.2, np.random.default_rng(1), cache)
-    gw, gb, dx = det._backward(params, cache, logits, y, input_grad=True)
-    gw_train, gb_train, none = det._backward(params, cache, logits, y)
-    assert none is None
-    assert dx.shape == x.shape
-    assert all(np.array_equal(a, b) for a, b in zip(gw, gw_train))
-    assert all(np.array_equal(a, b) for a, b in zip(gb, gb_train))
+    gw, gb = det._backward(params, cache, logits, y)
+    ref_w, ref_b, _ = _reference_backward(params, cache, logits, y)
+    bound_w, bound_b = _flush_bound(params, cache, len(x))
+    for got, want, bound in zip(gw + gb, ref_w + ref_b, bound_w + bound_b):
+        assert got.dtype == np.float32
+        # a last-place slack for the float32 sums the dropped terms fed
+        assert np.all(np.abs(got.astype(np.float64) - want) <= bound + np.spacing(np.abs(want)))
+
+    # settled rows contribute exactly nothing; unflushed they leave subnormals
+    sub_cache: list = []
+    sub_logits = det._forward_core(params, x[settled], cache=sub_cache)
+    gw, gb = det._backward(params, sub_cache, sub_logits, y[settled])
+    assert all(not np.any(g) for g in gw + gb)
+    ref_w, ref_b, _ = _reference_backward(params, sub_cache, sub_logits, y[settled])
+    assert any(np.any(g) for g in ref_w + ref_b)
+
+
+def _subnormal_count(arrays):
+    tiny = np.finfo(np.float32).tiny
+    return sum(int(np.count_nonzero((a != 0) & (np.abs(a) < tiny))) for a in arrays)
+
+
+def test_adam_moment_flush_keeps_weights_exact():
+    config = det.TrainConfig()
+    rng = np.random.default_rng(5)
+    params = small_params(seed=2, dtype="float32", hidden=(1024, 64))
+    # a mid-training state: a dropped moment is inert for parameters away from zero
+    for b in params.biases:
+        b[...] = rng.standard_normal(b.shape) * 1e-2
+    ref = params.copy()
+    state, ref_state = det._AdamState.zeros_for(params), det._AdamState.zeros_for(ref)
+    tiny = np.finfo(np.float32).tiny
+    # first moments: subnormal, near tiny (under and over the flush floor)
+    # and normal; second moments small enough that eps dominates some
+    levels = np.array([tiny / 4, tiny * 1.5, tiny * 8, 1e-4], dtype=np.float32)
+    dead = []
+    for i, w in enumerate(params.weights + params.biases):
+        m = rng.choice(levels, size=w.shape) * rng.choice([-1, 1], size=w.shape).astype(np.float32)
+        v = (10.0 ** rng.uniform(-16, -6, size=w.shape)).astype(np.float32)
+        for st in (state, ref_state):
+            moments = (st.m_w, st.v_w) if i < len(params.weights) else (st.m_b, st.v_b)
+            j = i % len(params.weights)
+            moments[0][j][...] = m
+            moments[1][j][...] = v
+        dead.append(rng.random(w.shape) < 0.5)  # these never see a gradient
+    flushed = 0
+    for t in range(1, 2 * det._MOMENT_FLUSH_PERIOD + 5):
+        grads = [
+            np.where(d, 0, rng.standard_normal(d.shape) * 1e-2).astype(np.float32) for d in dead
+        ]
+        nw = len(params.weights)
+        det._adam_step(params, state, grads[:nw], grads[nw:], config)
+        _reference_adam_step(ref, ref_state, grads[:nw], grads[nw:], config)
+        for a, b in zip(params.weights + params.biases, ref.weights + ref.biases):
+            assert np.array_equal(a, b)
+        if t % det._MOMENT_FLUSH_PERIOD == 0:
+            assert _subnormal_count(state.m_w + state.m_b) == 0
+            flushed += sum(
+                int(np.count_nonzero((a == 0) & (b != 0)))
+                for a, b in zip(state.m_w + state.m_b, ref_state.m_w + ref_state.m_b)
+            )
+    assert _subnormal_count(ref_state.m_w + ref_state.m_b) > 0
+    assert flushed > 0
+
+
+def test_moment_floor_is_capped_for_a_small_beta1():
+    tiny = float(np.finfo(np.float32).tiny)
+    assert det._moment_floor(np.float32, 0.9) == tiny / 0.9**det._MOMENT_FLUSH_PERIOD
+    assert det._moment_floor(np.float32, 0.9) < det._FLUSH_BELOW
+    for beta1 in (0.0, 0.1, 0.3):
+        assert det._moment_floor(np.float32, beta1) == pytest.approx(det._FLUSH_BELOW)
+
+
+def test_short_training_run_leaves_no_subnormal_moments(monkeypatch):
+    # confident enough, at this rate, for softmax outputs and zero-gradient
+    # first moments to underflow when nothing flushes them
+    ds = _separable_dataset()
+    cfg = det.TrainConfig(hidden_sizes=(32, 16), learning_rate=3e-2, max_epochs=60, patience=60, batch_size=16, seed=1)
+    step = det._adam_step
+
+    def run():
+        states, grads = [], []
+
+        def spy(params, state, grads_w, grads_b, config):
+            grads.append(_subnormal_count(grads_w + grads_b))
+            step(params, state, grads_w, grads_b, config)
+            states[:] = [state]
+
+        monkeypatch.setattr(det, "_adam_step", spy)
+        params, _ = det.train(ds, cfg)
+        return params, states[0], sum(grads)
+
+    params, state, sub_grads = run()
+    monkeypatch.setattr(det, "_FLUSH_BELOW", 0.0)
+    monkeypatch.setattr(det, "_MOMENT_FLUSH_PERIOD", 10**9)
+    raw_params, raw_state, raw_sub_grads = run()
+    assert _subnormal_count(state.m_w + state.m_b + state.v_w + state.v_b) == sub_grads == 0
+    assert _subnormal_count(raw_state.m_w + raw_state.m_b) > 0 and raw_sub_grads > 0
+    for a, b in zip(params.weights + params.biases, raw_params.weights + raw_params.biases):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])

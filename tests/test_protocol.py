@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from c2lab.adversarial import StuffSide, chain_plans, plan_from_adversarial
-from c2lab.model import FEATURE_LEN, FeatureVector
+from c2lab.adversarial import PlanTarget, StuffSide, StuffingPlan, chain_plans, plan_from_adversarial
+from c2lab.model import FEATURE_LEN, Direction, FeatureVector
 from c2lab.protocol import (
     CodecError,
     FrameworkSession,
@@ -148,7 +148,7 @@ def test_framework_close_hands_over_next_connection_target():
     reply = framework_step(state, 180)
     final = framework_step(reply.state, 180)
     assert final.close
-    assert int(final.headers[1].value) == last.first_payload_target() == 640
+    assert int(final.headers[1].value) == last.target_at(0) == 640
 
 
 def test_framework_only_mode_sends_no_size_headers():
@@ -228,6 +228,16 @@ def test_lockstep_framework_only_leaves_requests_alone():
         assert conn[0::2] == [framed_req, framed_req]
         assert conn[1::2] == [480, 512]
     assert closes == 2
+
+
+def test_lockstep_seeds_only_a_covered_first_request():
+    # position 0 has no target; the payload target at position 2 must not
+    # be spent on the session's first request
+    later_only = StuffingPlan(4, (PlanTarget(2, Direction.PAYLOAD_TO_FRAMEWORK, 900),))
+    conns, closes = run_lockstep([later_only], [100, 100], [100, 100], StuffSide.TWO_SIDE)
+    assert closes == 1
+    assert conns[0][0] == SIZE.framed_size(100)
+    assert conns[0][2] == 900
 
 
 def test_lockstep_odd_plan_leaves_tail_response_bare():
