@@ -49,7 +49,8 @@ class ExtractionCounters:
         return dict(vars(self))
 
 
-@dataclass(frozen=True)
+# Not frozen: one is built per frame, and frozen dataclasses are slow to build.
+@dataclass(slots=True)
 class SegmentRecord:
     index: int
     timestamp: float
@@ -65,6 +66,8 @@ def read_pcap(path: str | Path) -> tuple[list[SegmentRecord], ExtractionCounters
     """Load every TCP segment of a capture, non-TCP frames counted and skipped."""
     counters = ExtractionCounters()
     segments: list[SegmentRecord] = []
+    # One key per (source, destination) pair rather than one per frame.
+    keys: dict[tuple[Endpoint, Endpoint], TcpStreamKey] = {}
     for index, (timestamp, frame) in enumerate(read_packets(path)):
         counters.frames_total += 1
         parsed = parse_frame(frame)
@@ -73,11 +76,14 @@ def read_pcap(path: str | Path) -> tuple[list[SegmentRecord], ExtractionCounters
             continue
         src = (parsed.src_ip, parsed.src_port)
         dst = (parsed.dst_ip, parsed.dst_port)
+        key = keys.get((src, dst))
+        if key is None:
+            key = keys[src, dst] = TcpStreamKey.from_endpoints(src, dst)
         segments.append(
             SegmentRecord(
                 index=index,
                 timestamp=timestamp,
-                key=TcpStreamKey.from_endpoints(src, dst),
+                key=key,
                 src=src,
                 seq=parsed.seq,
                 flags=parsed.flags,

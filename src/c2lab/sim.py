@@ -566,7 +566,8 @@ def _handshake_record_lens(cfg: SimConfig) -> tuple[int, int]:
     raise ValueError("handshake budget unsatisfiable")
 
 
-@dataclass(frozen=True)
+# Not frozen: one is built per frame, and frozen dataclasses are slow to build.
+@dataclass(slots=True)
 class FrameSpec:
     ts: float
     from_client: bool
@@ -796,21 +797,30 @@ def emit_pcap(
     """
     rng = substream(seed, "ciphertext")
     entries: list[tuple[float, int, bytes]] = []
-    order = 0
     ip_id = 0
+    server = ("10.8.0.2", 443)
     for idx, records in enumerate(conn_records):
         client = (f"10.0.{idx // 20000}.1", 40000 + idx % 20000)
-        server = ("10.8.0.2", 443)
         seqs = {True: 1000, False: 2000}
+        plan = conn_frame_plan(records, cfg)
+        # One draw per connection. rng.bytes(n) draws ceil(n / 4) uint32 words
+        # and drops the tail bytes, so each record's ciphertext is the head of
+        # its own words in the block, and the generator ends where per-record
+        # draws would leave it. One block per capture would hold it all in memory.
+        rec_lens = [spec.record[1] for spec in plan if spec.record is not None and spec.record[2] == 0]
+        words = rng.integers(0, 2**32, size=sum((n + 3) // 4 for n in rec_lens), dtype=np.uint32)
+        ciphertext = words.astype("<u4", copy=False).tobytes()
+        cipher_pos = 0
         current_blob = b""
-        for spec in conn_frame_plan(records, cfg):
+        for spec in plan:
             src, dst = (client, server) if spec.from_client else (server, client)
             payload = b""
             if spec.record is not None:
                 ctype, rec_len, offset, chunk = spec.record
                 if offset == 0:
                     header = bytes([ctype, 3, 3, (rec_len >> 8) & 0xFF, rec_len & 0xFF])
-                    current_blob = header + rng.bytes(rec_len)
+                    current_blob = header + ciphertext[cipher_pos : cipher_pos + rec_len]
+                    cipher_pos += 4 * ((rec_len + 3) // 4)
                 payload = current_blob[offset : offset + chunk]
             if spec.flags & SYN and not spec.from_client:
                 ack = seqs[True]
@@ -825,9 +835,9 @@ def emit_pcap(
             if spec.flags & SYN or spec.flags & FIN:
                 seqs[spec.from_client] += 1
             seqs[spec.from_client] += len(payload)
-            entries.append((spec.ts, order, frame))
-            order += 1
-    entries.sort(key=lambda e: (e[0], e[1]))
+            entries.append((spec.ts, len(entries), frame))
+    # (timestamp, emission order) is unique, so the frames are never compared.
+    entries.sort()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:

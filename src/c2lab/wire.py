@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import count
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -37,7 +39,8 @@ class PcapFormatError(ValueError):
     """Raised when a capture file cannot be interpreted."""
 
 
-@dataclass(frozen=True)
+# Not frozen: one is built per frame, and frozen dataclasses are slow to build.
+@dataclass(slots=True)
 class ParsedSegment:
     src_ip: str
     dst_ip: str
@@ -59,21 +62,48 @@ def ipv4_checksum(header: bytes) -> int:
     return ~total & 0xFFFF
 
 
-def _mac_for(ip: str) -> bytes:
-    # Locally administered address keyed on the host part, purely cosmetic.
-    last = int(ip.rsplit(".", 1)[1])
-    return bytes([0x02, 0, 0, 0, 0, last & 0xFF])
-
-
 def _pack_ip(ip: str) -> bytes:
-    parts = [int(p) for p in ip.split(".")]
-    if len(parts) != 4 or any(p < 0 or p > 255 for p in parts):
-        raise ValueError(f"bad IPv4 address {ip!r}")
-    return bytes(parts)
+    """Pack a dotted quad written the way parse_frame gives it back.
+
+    Only ASCII digits, no leading zeros and no octet above 255, so that an
+    address packs to one form only and extraction returns the same string.
+    """
+    parts = ip.split(".")
+    if len(parts) == 4 and all(p.isascii() and p.isdigit() for p in parts):
+        octets = [int(p) for p in parts]
+        if max(octets) <= 255 and ".".join(map(str, octets)) == ip:
+            return bytes(octets)
+    raise ValueError(f"bad IPv4 address {ip!r}")
 
 
+@lru_cache(maxsize=4096)
 def _unpack_ip(raw: bytes) -> str:
-    return ".".join(str(b) for b in raw)
+    return ".".join(map(str, raw))
+
+
+# Ethernet + IPv4 + TCP headers of one frame, packed in one call.
+_FRAME_HEADERS = struct.Struct("!14sBBHHHBBH8sHHIIBBHHH")
+_VERSION_IHL = 0x45
+_DONT_FRAGMENT = 0x4000
+_TTL = 64
+# Checksum sum of the IPv4 words that never vary: version/IHL/TOS (TOS 0),
+# flags/fragment offset and TTL/protocol. The addresses are added per pair.
+_IP_FIXED_WORDS = (_VERSION_IHL << 8) + _DONT_FRAGMENT + ((_TTL << 8) | IP_PROTO_TCP)
+
+
+@lru_cache(maxsize=4096)
+def _frame_template(src_ip: str, dst_ip: str) -> tuple[bytes, bytes, int]:
+    """Ethernet header, packed addresses and the checksum sum of the fixed words.
+
+    The ones'-complement sum does not depend on word order (RFC 1071), so a
+    frame's checksum is this partial sum plus its total length and IP id.
+    A rejected address raises and is therefore never cached.
+    """
+    src, dst = _pack_ip(src_ip), _pack_ip(dst_ip)
+    # Locally administered MACs keyed on the host part, purely cosmetic.
+    eth = struct.pack("!6s6sH", bytes([2, 0, 0, 0, 0, dst[3]]), bytes([2, 0, 0, 0, 0, src[3]]), ETHERTYPE_IPV4)
+    addrs = src + dst
+    return eth, addrs, _IP_FIXED_WORDS + sum(struct.unpack("!4H", addrs))
 
 
 def build_frame(
@@ -87,25 +117,23 @@ def build_frame(
     payload: bytes = b"",
     ip_id: int = 0,
 ) -> bytes:
-    eth = struct.pack("!6s6sH", _mac_for(dst_ip), _mac_for(src_ip), ETHERTYPE_IPV4)
+    eth, addrs, fixed_sum = _frame_template(src_ip, dst_ip)
     total_len = IP_LEN + TCP_LEN + len(payload)
-    ip_wo_csum = struct.pack(
-        "!BBHHHBBH4s4s",
-        0x45,
+    ip_id &= 0xFFFF
+    csum = fixed_sum + total_len + ip_id
+    csum = (csum & 0xFFFF) + (csum >> 16)
+    csum = (csum & 0xFFFF) + (csum >> 16)
+    headers = _FRAME_HEADERS.pack(
+        eth,
+        _VERSION_IHL,
         0,
         total_len,
-        ip_id & 0xFFFF,
-        0x4000,  # don't fragment
-        64,
+        ip_id,
+        _DONT_FRAGMENT,
+        _TTL,
         IP_PROTO_TCP,
-        0,
-        _pack_ip(src_ip),
-        _pack_ip(dst_ip),
-    )
-    csum = ipv4_checksum(ip_wo_csum)
-    ip_hdr = ip_wo_csum[:10] + struct.pack("!H", csum) + ip_wo_csum[12:]
-    tcp_hdr = struct.pack(
-        "!HHIIBBHHH",
+        ~csum & 0xFFFF,
+        addrs,
         src_port,
         dst_port,
         seq & 0xFFFFFFFF,
@@ -116,7 +144,14 @@ def build_frame(
         0,  # checksum not validated anywhere in the lab
         0,
     )
-    return eth + ip_hdr + tcp_hdr + payload
+    return headers + payload
+
+
+# Version/IHL, total length, protocol and both addresses of an IPv4 header.
+_IP_FIELDS = struct.Struct("!B1xH5xB2x4s4s")
+# Ports, sequence number, data offset and flags of a TCP header.
+_TCP_FIELDS = struct.Struct("!HHI4xBB")
+_ETHERTYPE_IPV4_BYTES = struct.pack("!H", ETHERTYPE_IPV4)
 
 
 def parse_frame(frame: bytes) -> ParsedSegment | None:
@@ -125,38 +160,36 @@ def parse_frame(frame: bytes) -> ParsedSegment | None:
     Returns None for anything that is not IPv4/TCP; the caller counts those.
     Raises PcapFormatError on structurally broken IPv4/TCP headers.
     """
-    if len(frame) < ETH_LEN:
-        return None
-    ethertype = struct.unpack_from("!H", frame, 12)[0]
-    if ethertype != ETHERTYPE_IPV4:
+    if len(frame) < ETH_LEN or frame[12:14] != _ETHERTYPE_IPV4_BYTES:
         return None
     if len(frame) < ETH_LEN + IP_LEN:
         raise PcapFormatError("truncated IPv4 header")
-    ver_ihl = frame[ETH_LEN]
+    ver_ihl, total_len, proto, src_raw, dst_raw = _IP_FIELDS.unpack_from(frame, ETH_LEN)
     if ver_ihl >> 4 != 4:
         return None
     ihl = (ver_ihl & 0x0F) * 4
     if ihl < IP_LEN or len(frame) < ETH_LEN + ihl:
         raise PcapFormatError("bad IPv4 header length")
-    total_len = struct.unpack_from("!H", frame, ETH_LEN + 2)[0]
-    proto = frame[ETH_LEN + 9]
     if proto != IP_PROTO_TCP:
         return None
-    src_ip = _unpack_ip(frame[ETH_LEN + 12 : ETH_LEN + 16])
-    dst_ip = _unpack_ip(frame[ETH_LEN + 16 : ETH_LEN + 20])
     tcp_off = ETH_LEN + ihl
     if len(frame) < tcp_off + TCP_LEN or total_len < ihl + TCP_LEN:
         raise PcapFormatError("truncated TCP header")
-    src_port, dst_port, seq, _ack = struct.unpack_from("!HHII", frame, tcp_off)
-    data_off = (frame[tcp_off + 12] >> 4) * 4
+    src_port, dst_port, seq, data_off, flags = _TCP_FIELDS.unpack_from(frame, tcp_off)
+    data_off = (data_off >> 4) * 4
     if data_off < TCP_LEN:
         raise PcapFormatError("bad TCP data offset")
-    flags = frame[tcp_off + 13]
     payload_start = tcp_off + data_off
     payload_end = ETH_LEN + total_len
     if payload_end > len(frame) or payload_start > payload_end:
         raise PcapFormatError("TCP payload extends past frame")
-    return ParsedSegment(src_ip, dst_ip, src_port, dst_port, seq, flags, frame[payload_start:payload_end])
+    return ParsedSegment(
+        _unpack_ip(src_raw), _unpack_ip(dst_raw), src_port, dst_port, seq, flags, frame[payload_start:payload_end]
+    )
+
+
+_GLOBAL_HEADER = struct.Struct(GLOBAL_HEADER_FMT)
+_PACKET_HEADER = struct.Struct(PACKET_HEADER_FMT)
 
 
 class PcapWriter:
@@ -164,9 +197,7 @@ class PcapWriter:
 
     def __init__(self, fh: BinaryIO):
         self._fh = fh
-        self._fh.write(
-            struct.pack(GLOBAL_HEADER_FMT, PCAP_MAGIC, 2, 4, 0, 0, 65535, LINKTYPE_ETHERNET)
-        )
+        self._fh.write(_GLOBAL_HEADER.pack(PCAP_MAGIC, 2, 4, 0, 0, 65535, LINKTYPE_ETHERNET))
 
     def write_packet(self, timestamp: float, frame: bytes) -> None:
         if timestamp < 0:
@@ -176,7 +207,7 @@ class PcapWriter:
         if ts_usec >= 1_000_000:
             ts_sec += 1
             ts_usec -= 1_000_000
-        self._fh.write(struct.pack(PACKET_HEADER_FMT, ts_sec, ts_usec, len(frame), len(frame)))
+        self._fh.write(_PACKET_HEADER.pack(ts_sec, ts_usec, len(frame), len(frame)))
         self._fh.write(frame)
 
 
@@ -186,8 +217,8 @@ def read_packets(path: str | Path) -> Iterator[tuple[float, bytes]]:
     Both byte orders are accepted. Structural damage raises PcapFormatError.
     """
     with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize(GLOBAL_HEADER_FMT))
-        if len(head) < struct.calcsize(GLOBAL_HEADER_FMT):
+        head = fh.read(_GLOBAL_HEADER.size)
+        if len(head) < _GLOBAL_HEADER.size:
             raise PcapFormatError("file too short for a pcap global header")
         magic_le = struct.unpack_from("<I", head)[0]
         if magic_le == PCAP_MAGIC:
@@ -201,14 +232,16 @@ def read_packets(path: str | Path) -> Iterator[tuple[float, bytes]]:
             raise PcapFormatError(f"unsupported pcap version {vmaj}")
         if network != LINKTYPE_ETHERNET:
             raise PcapFormatError(f"unsupported link type {network}")
-        pkt_hdr_len = struct.calcsize(PACKET_HEADER_FMT)
-        while True:
-            hdr = fh.read(pkt_hdr_len)
+        packet_header = struct.Struct(endian + "IIII")
+        for index in count():
+            hdr = fh.read(packet_header.size)
             if not hdr:
                 return
-            if len(hdr) < pkt_hdr_len:
+            if len(hdr) < packet_header.size:
                 raise PcapFormatError("truncated packet header at end of file")
-            ts_sec, ts_usec, incl_len, orig_len = struct.unpack(endian + "IIII", hdr)
+            ts_sec, ts_usec, incl_len, orig_len = packet_header.unpack(hdr)
+            if ts_usec >= 1_000_000:
+                raise PcapFormatError(f"packet {index}: microseconds field {ts_usec} is not below 1000000")
             if incl_len > orig_len or incl_len > 0x40000:
                 raise PcapFormatError(f"implausible capture length {incl_len}")
             frame = fh.read(incl_len)

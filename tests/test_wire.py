@@ -1,9 +1,11 @@
 import io
+import re
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from c2lab import wire
 from c2lab.wire import (
     ACK,
     FRAME_OVERHEAD,
@@ -125,5 +127,58 @@ def test_pcap_rejects_negative_timestamp(tmp_path):
 
 
 def test_bad_ip_address_rejected():
-    with pytest.raises(ValueError):
-        build_frame("300.0.0.1", "10.8.0.2", 40000, 443, 1, 2, ACK)
+    # only canonical dotted quads: ASCII digits, no padding or leading zeros
+    bad = ["300.0.0.1", "1.2.3. 4", "1.2.3.\u0664", "a.b.c.d", "1.2.3", "1.2.3.4.5", "1..3.4", "01.2.3.4", "+1.2.3.4", ""]
+    for ip in bad:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'bad IPv4 address {ip!r}')}$"):
+            build_frame(ip, "10.8.0.2", 40000, 443, 1, 2, ACK)
+        with pytest.raises(ValueError, match=re.escape(repr(ip))):
+            build_frame("10.8.0.2", ip, 443, 40000, 1, 2, ACK)
+
+
+def test_rejected_address_is_not_cached():
+    before = wire._frame_template.cache_info()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="bad IPv4 address"):
+            build_frame("1.2.3. 4", "10.8.0.2", 40000, 443, 1, 2, ACK)
+    after = wire._frame_template.cache_info()
+    # both calls missed: the failed template was not stored
+    assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+
+
+octets = st.tuples(*[st.integers(min_value=0, max_value=255)] * 4).map(lambda o: ".".join(map(str, o)))
+
+
+@given(src=octets, dst=octets, ip_id=st.integers(min_value=0, max_value=2**20), payload_len=st.integers(0, 1460))
+def test_templated_checksum_matches_reference(src, dst, ip_id, payload_len):
+    frame = build_frame(src, dst, 40000, 443, 7, 9, PSH | ACK, b"\xa5" * payload_len, ip_id)
+    ip_header = frame[14:34]
+    assert struct.unpack("!H", ip_header[10:12])[0] == ipv4_checksum(ip_header[:10] + b"\x00\x00" + ip_header[12:])
+    assert struct.unpack("!HH", ip_header[2:6]) == (40 + payload_len, ip_id & 0xFFFF)
+    seg = parse_frame(frame)
+    # canonical addresses come back unchanged, so connection ids round-trip
+    assert (seg.src_ip, seg.dst_ip) == (src, dst)
+
+
+def _pcap_with_usec(tmp_path, usecs, endian="<"):
+    path = tmp_path / "usec.pcap"
+    frame = build_frame("10.0.0.1", "10.8.0.2", 40000, 443, 1, 2, ACK)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(endian + "IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 65535, 1))
+        for usec in usecs:
+            fh.write(struct.pack(endian + "IIII", 3, usec, len(frame), len(frame)))
+            fh.write(frame)
+    return path
+
+
+@pytest.mark.parametrize("endian", ["<", ">"])
+@pytest.mark.parametrize("usec", [1_000_000, 2**32 - 1])
+def test_pcap_rejects_out_of_range_microseconds(tmp_path, endian, usec):
+    path = _pcap_with_usec(tmp_path, [999_999, usec], endian)
+    with pytest.raises(PcapFormatError, match=f"packet 1: microseconds field {usec} "):
+        list(read_packets(path))
+
+
+def test_pcap_accepts_largest_microseconds(tmp_path):
+    (ts, _frame), = read_packets(_pcap_with_usec(tmp_path, [999_999]))
+    assert ts == pytest.approx(3.999999)
