@@ -12,8 +12,10 @@ is allowed to stuff.
 from __future__ import annotations
 
 import enum
+import hashlib
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -63,6 +65,37 @@ class FgsmConfig:
         return (self.max_size // self.size_model.block_len) * self.size_model.block_len
 
 
+# Sign matrices kept by _gradient_signs; a report sweep needs two at a time.
+_SIGN_CACHE_SIZE = 4
+_sign_cache: OrderedDict[bytes, np.ndarray] = OrderedDict()
+
+
+def _gradient_signs(params: DetectorParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Read-only np.sign of the input gradient of raw rows x under labels y.
+
+    Neither epsilon nor a side mask enters the gradient, so the builds of one
+    sweep share it. Entries are keyed on content: training updates parameters
+    in place, so an identity key could return a stale detector's signs. An
+    exact row set keys each entry, and a hit returns the very array a cold
+    call computed.
+    """
+    arrays = (*params.weights, *params.biases, x, y)
+    digest = hashlib.sha256(repr((params.norm_scale, [(a.shape, a.dtype.str) for a in arrays])).encode())
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a))
+    key = digest.digest()
+    signs = _sign_cache.get(key)
+    if signs is not None:
+        _sign_cache.move_to_end(key)
+        return signs
+    signs = np.sign(np.atleast_2d(input_gradient(params, normalize(x, params.norm_scale), y)))
+    signs.flags.writeable = False
+    _sign_cache[key] = signs
+    if len(_sign_cache) > _SIGN_CACHE_SIZE:
+        _sign_cache.popitem(last=False)
+    return signs
+
+
 def fgsm_raw(
     params: DetectorParams,
     x_raw: np.ndarray,
@@ -79,8 +112,8 @@ def fgsm_raw(
     keep their original value. Output is float and generally off-grid.
     """
     x = np.atleast_2d(np.asarray(x_raw, dtype=np.float64))
-    grad = np.atleast_2d(input_gradient(params, normalize(x, params.norm_scale), y))
-    signs = np.sign(grad)
+    y_arr = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    signs = _gradient_signs(params, x, y_arr).copy()
     if respect_padding:
         signs[x == PAD_VALUE] = 0.0
     if mask is not None:
@@ -332,13 +365,11 @@ def _plan_from_entry(entry) -> StuffingPlan:
             direction = Direction(direction)
         except ValueError:
             raise ValueError(f"targets[{j}].direction {direction!r} unknown") from None
-        parsed.append(
-            PlanTarget(
-                check_int(f"targets[{j}].position", pos, 0, n_records - 1),
-                direction,
-                check_int(f"targets[{j}].size", size, 1, MAX_RECORD_SIZE),
-            )
-        )
+        pos = check_int(f"targets[{j}].position", pos, 0, n_records - 1)
+        # target_at reads the position only: requests are even, responses odd
+        if direction is not alternating_directions(pos + 1)[pos]:
+            raise ValueError(f"targets[{j}].direction {direction.value!r} does not match position {pos}")
+        parsed.append(PlanTarget(pos, direction, check_int(f"targets[{j}].size", size, 1, MAX_RECORD_SIZE)))
     next_size = entry["first_size_next_conn"]
     if next_size is not None:
         check_int("first_size_next_conn", next_size, 1, MAX_RECORD_SIZE)

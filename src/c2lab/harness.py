@@ -357,6 +357,32 @@ def run_threat_model_1(ec: ExperimentConfig, artifacts: Artifacts) -> tuple[dict
 # ---------------------------------------------------------------------------
 # stage 2: aware detector vs gradient-guided stuffing
 
+def craft_libraries(
+    ec: ExperimentConfig, params: det.DetectorParams, attack_samples: list, epsilon: float
+) -> dict[StuffSide, list]:
+    """One epsilon's stuffing plan library for each side."""
+    crafted = {
+        side: adv.build_plan_library(
+            params,
+            attack_samples,
+            side,
+            attack_config(ec, epsilon),
+            source_tag=Provenance.RAND_REQ.value,
+            # The framework decides connection splits, so it can refuse to
+            # isolate one exchange per connection.  A payload-only implant
+            # cannot: it follows whatever flow shapes the unmodified
+            # framework emits, single-exchange stragglers included.
+            min_exchanges=1 if side is StuffSide.PAYLOAD_ONLY else 2,
+        )
+        for side in (StuffSide.FRAMEWORK_ONLY, StuffSide.PAYLOAD_ONLY, StuffSide.TWO_SIDE)
+    }
+    # Stuffing both directions subsumes stuffing one: the two-side
+    # operator may also schedule response-only plans when queued
+    # transfers would blow through a crafted request size.
+    crafted[StuffSide.TWO_SIDE] = crafted[StuffSide.TWO_SIDE] + crafted[StuffSide.FRAMEWORK_ONLY]
+    return crafted
+
+
 def run_threat_model_2(
     ec: ExperimentConfig, artifacts: Artifacts
 ) -> tuple[dict, det.DetectorParams, dict[StuffSide, list]]:
@@ -392,28 +418,7 @@ def run_threat_model_2(
     libraries: dict[float, dict[StuffSide, list]] = {}
     adv_datasets: dict[float, dict[StuffSide, Dataset]] = {}
     for eps in ec.epsilon_sweep:
-        crafted = {
-            side: adv.build_plan_library(
-                params,
-                attack_samples,
-                side,
-                attack_config(ec, eps),
-                source_tag=Provenance.RAND_REQ.value,
-                # The framework decides connection splits, so it can refuse to
-                # isolate one exchange per connection.  A payload-only implant
-                # cannot: it follows whatever flow shapes the unmodified
-                # framework emits, single-exchange stragglers included.
-                min_exchanges=1 if side is StuffSide.PAYLOAD_ONLY else 2,
-            )
-            for side in (StuffSide.FRAMEWORK_ONLY, StuffSide.PAYLOAD_ONLY, StuffSide.TWO_SIDE)
-        }
-        # Stuffing both directions subsumes stuffing one: the two-side
-        # operator may also schedule response-only plans when queued
-        # transfers would blow through a crafted request size.
-        crafted[StuffSide.TWO_SIDE] = (
-            crafted[StuffSide.TWO_SIDE] + crafted[StuffSide.FRAMEWORK_ONLY]
-        )
-        libraries[eps] = crafted
+        libraries[eps] = crafted = craft_libraries(ec, params, attack_samples, eps)
         adv_datasets[eps] = {}
         sweep[f"{eps}"] = {}
         for side in (StuffSide.FRAMEWORK_ONLY, StuffSide.PAYLOAD_ONLY, StuffSide.TWO_SIDE):

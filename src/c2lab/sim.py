@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -544,24 +545,40 @@ def _record_chunks(total: int, mss: int) -> list[int]:
     return chunks
 
 
-def _handshake_record_lens(cfg: SimConfig) -> tuple[int, int]:
+def _record_frames(rec_len: int, mss: int) -> int:
+    """Frames one TLS record takes: its header and body split into mss chunks."""
+    return -(-(RECORD_HEADER_LEN + rec_len) // mss)
+
+
+def _record_wire(rec_len: int, mss: int) -> int:
+    """Wire bytes of one TLS record: header, body and one frame per mss chunk."""
+    return RECORD_HEADER_LEN + rec_len + FRAME_OVERHEAD * _record_frames(rec_len, mss)
+
+
+# Bare TCP frames of a connection as (seconds after open or after the last
+# record, from_client, flags): the handshake before the TLS flights and the two FINs.
+_TCP_OPEN = ((0.0, True, SYN), (0.0002, False, SYN | ACK), (0.0004, True, ACK))
+_TCP_CLOSE = ((0.0010, True, FIN | ACK), (FIN_TRAIL, False, FIN | ACK))
+
+
+@lru_cache(maxsize=64)
+def _handshake_record_lens(handshake_wire_bytes: int, mss: int) -> tuple[int, int]:
     """Client and server handshake record lengths filling the wire budget.
 
     Solved so the TCP handshake plus both flights cost handshake_wire_bytes
     on the wire exactly when possible, overshooting minimally otherwise.
     """
     client_len = 283
-    client_wire = RECORD_HEADER_LEN + client_len + FRAME_OVERHEAD * len(_record_chunks(RECORD_HEADER_LEN + client_len, cfg.mss))
-    remaining = cfg.handshake_wire_bytes - 3 * FRAME_OVERHEAD - client_wire
+    remaining = handshake_wire_bytes - len(_TCP_OPEN) * FRAME_OVERHEAD - _record_wire(client_len, mss)
     for frames in range(1, 64):
         server_len = remaining - RECORD_HEADER_LEN - FRAME_OVERHEAD * frames
-        if server_len >= 1 and len(_record_chunks(RECORD_HEADER_LEN + server_len, cfg.mss)) == frames:
+        if server_len >= 1 and _record_frames(server_len, mss) == frames:
             return client_len, server_len
     # no exact fit: smallest overshoot with the next frame count
     for frames in range(1, 64):
-        low = (frames - 1) * cfg.mss - 4  # smallest record needing this many frames
+        low = (frames - 1) * mss - 4  # smallest record needing this many frames
         server_len = max(low, remaining - RECORD_HEADER_LEN - FRAME_OVERHEAD * frames)
-        if server_len >= 1 and len(_record_chunks(RECORD_HEADER_LEN + server_len, cfg.mss)) == frames:
+        if server_len >= 1 and _record_frames(server_len, mss) == frames:
             return client_len, server_len
     raise ValueError("handshake budget unsatisfiable")
 
@@ -580,12 +597,8 @@ def conn_frame_plan(records: Sequence[tuple[float, Direction, int]], cfg: SimCon
     if not records:
         raise ValueError("a connection must carry records")
     t0 = round(records[0][0] - HANDSHAKE_LEAD, 6)
-    plan = [
-        FrameSpec(t0, True, SYN, None),
-        FrameSpec(round(t0 + 0.0002, 6), False, SYN | ACK, None),
-        FrameSpec(round(t0 + 0.0004, 6), True, ACK, None),
-    ]
-    c_len, s_len = _handshake_record_lens(cfg)
+    plan = [FrameSpec(round(t0 + dt, 6), from_client, flags, None) for dt, from_client, flags in _TCP_OPEN]
+    c_len, s_len = _handshake_record_lens(cfg.handshake_wire_bytes, cfg.mss)
     for ts, from_client, rec_len in (
         (round(t0 + 0.0010, 6), True, c_len),
         (round(t0 + 0.0020, 6), False, s_len),
@@ -601,15 +614,17 @@ def conn_frame_plan(records: Sequence[tuple[float, Direction, int]], cfg: SimCon
             plan.append(FrameSpec(round(ts, 6), from_client, PSH | ACK, (_TLS_APPDATA, size, offset, chunk)))
             offset += chunk
     t_end = records[-1][0]
-    plan.append(FrameSpec(round(t_end + 0.0010, 6), True, FIN | ACK, None))
-    plan.append(FrameSpec(round(t_end + FIN_TRAIL, 6), False, FIN | ACK, None))
+    plan.extend(FrameSpec(round(t_end + dt, 6), from_client, flags, None) for dt, from_client, flags in _TCP_CLOSE)
     return plan
 
 
 def conn_wire_bytes(records: Sequence[tuple[float, Direction, int]], cfg: SimConfig) -> int:
-    total = 0
-    for spec in conn_frame_plan(records, cfg):
-        total += FRAME_OVERHEAD + (spec.record[3] if spec.record else 0)
+    """Wire bytes of conn_frame_plan(records, cfg), without building its frames."""
+    if not records:
+        raise ValueError("a connection must carry records")
+    total = (len(_TCP_OPEN) + len(_TCP_CLOSE)) * FRAME_OVERHEAD
+    for rec_len in (*_handshake_record_lens(cfg.handshake_wire_bytes, cfg.mss), *(r[2] for r in records)):
+        total += _record_wire(rec_len, cfg.mss)
     return total
 
 

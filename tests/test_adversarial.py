@@ -20,6 +20,7 @@ from c2lab.adversarial import (
     sample_plan,
     stuff_amount,
 )
+from c2lab.harness import ExperimentConfig, craft_libraries
 from c2lab.model import Direction, FeatureVector, Label, LabeledSample, PAD_VALUE, Provenance
 from c2lab.sizing import TlsSizeModel
 
@@ -129,6 +130,130 @@ def test_fgsm_config_validation():
     with pytest.raises(ValueError):
         FgsmConfig(position_floors=(1, 2, 3))
     assert FgsmConfig().grid_cap == 16400
+
+
+# ---------------------------------------------------------------------------
+# gradient-sign cache
+
+
+def cold_signs(params, x, y):
+    return np.sign(det.input_gradient(params, det.normalize(x, params.norm_scale), y))
+
+
+def count_gradients(monkeypatch):
+    """Row counts of the input gradients fgsm actually computes."""
+    calls = []
+    real = adv.input_gradient
+
+    def counting(params, x_norm, y):
+        calls.append(len(x_norm))
+        return real(params, x_norm, y)
+
+    monkeypatch.setattr(adv, "input_gradient", counting)
+    return calls
+
+
+def test_sign_cache_hit_is_the_cold_gradient_bit_for_bit(monkeypatch):
+    params = params_fixture()
+    x = flow_rows(np.random.default_rng(30), 12)
+    y = np.zeros(12, dtype=np.int64)
+    calls = count_gradients(monkeypatch)
+    first = adv._gradient_signs(params, x, y)
+    assert adv._gradient_signs(params, x, y) is first
+    assert adv._gradient_signs(params.copy(), x.copy(), y.copy()) is first
+    assert calls == [12]
+    assert first.tobytes() == cold_signs(params, x, y).tobytes()
+    assert not first.flags.writeable
+
+
+def _bump_weight_one_ulp(params, x, y):
+    w = params.weights[1]
+    w[0, 0] = np.nextafter(w[0, 0], np.inf)  # in place, as training updates
+    return x, y
+
+
+def _bump_bias(params, x, y):
+    params.biases[0][3] += 0.25
+    return x, y
+
+
+def _rescale(params, x, y):
+    params.norm_scale *= 2
+    return x, y
+
+
+def _other_rows(params, x, y):
+    x = x.copy()
+    x[3, 0] += 16
+    return x, y
+
+
+def _other_labels(params, x, y):
+    y = y.copy()
+    y[0] = 1
+    return x, y
+
+
+@pytest.mark.parametrize(
+    "change", [_bump_weight_one_ulp, _bump_bias, _rescale, _other_rows, _other_labels], ids=lambda f: f.__name__[1:]
+)
+def test_sign_cache_misses_on_any_change_the_gradient_depends_on(monkeypatch, change):
+    params = params_fixture()
+    x = flow_rows(np.random.default_rng(31), 12)
+    y = np.zeros(12, dtype=np.int64)
+    calls = count_gradients(monkeypatch)
+    adv._gradient_signs(params, x, y)
+    x, y = change(params, x, y)
+    got = adv._gradient_signs(params, x, y)
+    assert calls == [12, 12]
+    assert got.tobytes() == cold_signs(params, x, y).tobytes()
+
+
+def test_sign_cache_stays_bounded_and_keeps_the_recently_used(monkeypatch):
+    params = params_fixture()
+    rng = np.random.default_rng(32)
+    keep = flow_rows(rng, 3)
+    y = np.zeros(3, dtype=np.int64)
+    calls = count_gradients(monkeypatch)
+    adv._gradient_signs(params, keep, y)
+    for _ in range(3 * adv._SIGN_CACHE_SIZE):
+        adv._gradient_signs(params, flow_rows(rng, 3), y)
+        adv._gradient_signs(params, keep, y)  # a hit refreshes the entry
+        assert len(adv._sign_cache) <= adv._SIGN_CACHE_SIZE
+    assert len(adv._sign_cache) == adv._SIGN_CACHE_SIZE
+    assert len(calls) == 1 + 3 * adv._SIGN_CACHE_SIZE
+
+
+def test_masked_step_leaves_no_edit_in_the_cache():
+    params = params_fixture()
+    x = flow_rows(np.random.default_rng(33), 20)
+    y = np.zeros(20, dtype=np.int64)
+    mask = np.array([1.0, 0.0] * 10)
+    cold_masked = fgsm_raw(params, x, y, 0.05, mask=mask)
+    adv._sign_cache.clear()
+    cold_plain = fgsm_raw(params, x, y, 0.05, respect_padding=False)
+    adv._sign_cache.clear()
+    warm_masked = fgsm_raw(params, x, y, 0.05, mask=mask)
+    warm_plain = fgsm_raw(params, x, y, 0.05, respect_padding=False)
+    assert len(adv._sign_cache) == 1
+    assert warm_masked.tobytes() == cold_masked.tobytes()
+    assert warm_plain.tobytes() == cold_plain.tobytes()
+
+
+def test_one_sweep_computes_one_gradient_per_row_set(monkeypatch):
+    params = params_fixture()
+    rows = flow_rows(np.random.default_rng(34), 40)
+    short = int(((rows != PAD_VALUE).sum(axis=1) < 4).sum())
+    assert 0 < short < 40  # two-record flows only payload-only plans use
+    samples = _samples_from_rows(rows)
+    ec = ExperimentConfig()
+    calls = count_gradients(monkeypatch)
+    libraries = {eps: craft_libraries(ec, params, samples, eps) for eps in ec.epsilon_sweep}
+    assert len(libraries) == 3
+    assert sorted(calls) == [40 - short, 40]
+    for eps, crafted in libraries.items():
+        adv._sign_cache.clear()
+        assert craft_libraries(ec, params, samples, eps) == crafted
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +428,10 @@ LIBRARY_MUTATIONS = {
     "float position": (_set(["plans", 0, "targets", 0, 0], 0.0), ["plans[0]", "targets[0].position"]),
     "position past n_records": (_set(["plans", 0, "targets", 3, 0], 7), ["plans[0]", "targets[3].position"]),
     "unknown direction": (_set(["plans", 0, "targets", 0, 1], "sideways"), ["plans[0]", "targets[0].direction"]),
+    "direction against position": (
+        _set(["plans", 0, "targets", 0, 1], "framework_to_payload"),
+        ["plans[0]", "targets[0].direction", "does not match position 0"],
+    ),
     "float profile entry": (_set(["plans", 1, "profile", 2], 656.0), ["plans[1]", "profile[2]"]),
     "short profile": (_set(["plans", 1, "profile"], [640]), ["plans[1]", "profile"]),
     "float carry-over size": (_set(["plans", 0, "first_size_next_conn"], 600.5), ["plans[0]", "first_size_next_conn"]),

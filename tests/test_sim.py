@@ -21,6 +21,8 @@ from c2lab.sim import (
     _group_sizes,
     _schedule_plans,
     _workflow,
+    conn_frame_plan,
+    conn_wire_bytes,
     generate_c2_traces,
     generate_web_traces,
     interactive_script,
@@ -28,6 +30,8 @@ from c2lab.sim import (
     simulate_session,
     substream,
 )
+from c2lab.sizing import RECORD_HEADER_LEN
+from c2lab.wire import FRAME_OVERHEAD
 
 CFG = SimConfig(seed=11)
 
@@ -332,3 +336,31 @@ def test_scheduler_single_exchange_leftovers_and_unfit_libraries():
 def test_target_at_matches_linear_scan(plan, position):
     scanned = next((t.size for t in plan.targets if t.position == position), None)
     assert plan.target_at(position) == scanned
+
+
+@st.composite
+def wire_cases(draw):
+    mss = draw(st.integers(600, 9000))
+    # records whose header plus body lands on, or one byte off, a frame boundary
+    near_boundary = st.builds(
+        lambda k, d: k * mss - RECORD_HEADER_LEN + d, st.integers(1, 3), st.integers(-1, 1)
+    )
+    any_size = st.integers(0, MAX_RECORD_SIZE + 64)
+    sizes = draw(st.lists(st.one_of(any_size, near_boundary), min_size=1, max_size=24))
+    return sizes, mss, draw(st.integers(600, 40000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wire_cases())
+def test_conn_wire_bytes_is_the_frame_plan_sum(case):
+    sizes, mss, handshake = case
+    cfg = SimConfig(mss=mss, handshake_wire_bytes=handshake)
+    dirs = (Direction.PAYLOAD_TO_FRAMEWORK, Direction.FRAMEWORK_TO_PAYLOAD)
+    records = [(1.0 + 0.25 * i, dirs[i % 2], size) for i, size in enumerate(sizes)]
+    planned = sum(FRAME_OVERHEAD + (spec.record[3] if spec.record else 0) for spec in conn_frame_plan(records, cfg))
+    assert conn_wire_bytes(records, cfg) == planned
+
+
+def test_conn_wire_bytes_needs_records():
+    with pytest.raises(ValueError, match="must carry records"):
+        conn_wire_bytes([], CFG)
