@@ -54,8 +54,8 @@ class FgsmConfig:
     position_floors: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
         if self.position_floors is not None and len(self.position_floors) != 2:
             raise ValueError("position_floors must be (request_floor, response_floor)")
 

@@ -252,15 +252,15 @@ def _forward_core(params: DetectorParams, x: np.ndarray, dropout_rate: float = 0
     return logits
 
 
-def predict_proba(params: DetectorParams, features: np.ndarray | Sequence[FeatureVector]) -> np.ndarray:
-    """Probabilities from raw (unnormalized) feature rows."""
-    x = _as_raw_matrix(features)
-    return forward(params, normalize(x, params.norm_scale))
+def _classes(probs: np.ndarray) -> np.ndarray:
+    """Class index per row of probabilities; ties go to C2."""
+    return np.where(probs[:, 0] >= probs[:, 1], 0, 1)
 
 
 def predict(params: DetectorParams, features: np.ndarray | Sequence[FeatureVector]) -> list[Label]:
-    probs = np.atleast_2d(predict_proba(params, features))
-    return [Label.C2 if p[0] >= p[1] else Label.NON_C2 for p in probs]
+    """Labels for raw (unnormalized) feature rows."""
+    probs = forward(params, normalize(_as_raw_matrix(features), params.norm_scale))
+    return [CLASS_ORDER[i] for i in _classes(probs).tolist()]
 
 
 def _as_raw_matrix(features: np.ndarray | Sequence[FeatureVector] | Dataset) -> np.ndarray:
@@ -437,8 +437,7 @@ def train_arrays(x_raw: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple
             batch_losses.append(cross_entropy(logits, yb))
             grads_w, grads_b = _backward(params, cache, logits, yb)
             _adam_step(params, state, grads_w, grads_b, config)
-        val_probs = forward(params, x_val)
-        val_pred = val_probs.argmax(axis=1)
+        val_pred = _classes(forward(params, x_val))
         entry = {
             "epoch": epoch,
             "train_loss": float(np.mean(batch_losses)),
@@ -510,6 +509,5 @@ def _moment_floor(dtype: np.dtype, beta1: float) -> float:
 
 def accuracy(params: DetectorParams, dataset: Dataset) -> float:
     x, y = dataset_matrices(dataset)
-    probs = forward(params, normalize(x, params.norm_scale))
-    pred = np.where(probs[:, 0] >= probs[:, 1], 0, 1)
+    pred = _classes(forward(params, normalize(x, params.norm_scale)))
     return float(np.mean(pred == y))

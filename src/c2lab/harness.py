@@ -10,7 +10,6 @@ from the files the run leaves behind.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import sys
@@ -25,15 +24,11 @@ from . import detector as det
 from .adversarial import FgsmConfig, StuffSide
 from .model import Dataset, Label, LabeledSample, Provenance, check_int, evasion_rate, features_from_trace
 from .sim import (
+    NAIVE_MODES,
     Adversarial,
-    FixedReqPerConn,
     GeneratedFlows,
     Mode,
-    RandReqPerConn,
-    Regular,
     SimConfig,
-    StuffFixed,
-    StuffRandom,
     WebConfig,
     conn_open_close,
     conn_wire_bytes,
@@ -162,13 +157,7 @@ def _leaf(default, value, path: str):
     return type(default)(value)
 
 
-MODE_PROVENANCES = (
-    Provenance.REGULAR,
-    Provenance.STUFF50,
-    Provenance.STUFF_RAND,
-    Provenance.FIXED3_REQ,
-    Provenance.RAND_REQ,
-)
+MODE_PROVENANCES = NAIVE_MODES
 
 _ADV_PROVENANCE = {
     StuffSide.FRAMEWORK_ONLY: Provenance.ADV_FRAMEWORK,
@@ -194,16 +183,9 @@ def attack_config(ec: ExperimentConfig, epsilon: float) -> FgsmConfig:
 
 
 def mode_for(provenance: Provenance, library: tuple = ()) -> Mode:
-    if provenance is Provenance.REGULAR:
-        return Regular()
-    if provenance is Provenance.STUFF50:
-        return StuffFixed(50)
-    if provenance is Provenance.STUFF_RAND:
-        return StuffRandom(1, 1400)
-    if provenance is Provenance.FIXED3_REQ:
-        return FixedReqPerConn(3)
-    if provenance is Provenance.RAND_REQ:
-        return RandReqPerConn(2, 6)
+    """The traffic mode whose flows carry a C2 provenance: naive ones are their own mode."""
+    if provenance in NAIVE_MODES:
+        return provenance
     for side, prov in _ADV_PROVENANCE.items():
         if prov is provenance:
             return Adversarial(side, tuple(library))
@@ -248,9 +230,7 @@ class Artifacts:
     def save_json(self, rel: str, obj) -> None:
         p = self._path(rel)
         if p is not None:
-            with open(p, "w") as fh:
-                json.dump(obj, fh, sort_keys=True, indent=1)
-                fh.write("\n")
+            p.write_bytes(report_bytes(obj))
 
     def save_rows(self, rel: str, header: list[str], rows: list[list]) -> None:
         p = self._path(rel)
@@ -269,9 +249,7 @@ class Artifacts:
         if self.root is None:
             return
         manifest = {"files": sorted(self.files), "notes": sorted(self.notes)}
-        with open(self.root / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        (self.root / "manifest.json").write_bytes(report_bytes(manifest))
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +276,24 @@ def build_dataset(
     return Dataset(samples, seed), flows
 
 
-def _concat(*datasets: Dataset) -> Dataset:
-    samples = [s for d in datasets for s in d.samples]
-    return Dataset(samples, datasets[0].seed)
+def _train_stage(
+    ec: ExperimentConfig, artifacts: Artifacts, stage: str, parts: tuple, detector_name: str
+) -> tuple[det.DetectorParams, list[dict], Dataset, Dataset]:
+    """Build, split and save one detector's datasets, then train and save it.
+
+    parts holds (provenance, n_fit, n_held) per dataset, in order: each is
+    built for the stage, its first n_fit samples go to training and the rest
+    to the held-out test set. Returns params, history, train and test sets.
+    """
+    built = [(build_dataset(provenance, n_fit + n_held, ec, stage)[0], n_fit) for provenance, n_fit, n_held in parts]
+    seed = built[0][0].seed
+    train_ds = Dataset([s for ds, n_fit in built for s in ds.samples[:n_fit]], seed)
+    test_ds = Dataset([s for ds, n_fit in built for s in ds.samples[n_fit:]], seed)
+    artifacts.save_dataset(f"{stage}_train", train_ds)
+    artifacts.save_dataset(f"{stage}_test", test_ds)
+    params, history = det.train(train_ds, replace(ec.train, seed=seed_for(ec.master_seed, f"{stage}-train")))
+    artifacts.save_detector(detector_name, params)
+    return params, history, train_ds, test_ds
 
 
 def _evaluate_evasion(
@@ -320,21 +313,8 @@ def _evaluate_evasion(
 # stage 1: baseline detector vs naive reshaping
 
 def run_threat_model_1(ec: ExperimentConfig, artifacts: Artifacts) -> tuple[dict, det.DetectorParams]:
-    reg_ds, _ = build_dataset(Provenance.REGULAR, ec.n_train + ec.n_test, ec, "tm1")
-    web_ds, _ = build_dataset(Provenance.WEB, ec.n_train + ec.n_test, ec, "tm1")
-    train_ds = _concat(
-        Dataset(reg_ds.samples[: ec.n_train], reg_ds.seed),
-        Dataset(web_ds.samples[: ec.n_train], web_ds.seed),
-    )
-    test_ds = _concat(
-        Dataset(reg_ds.samples[ec.n_train :], reg_ds.seed),
-        Dataset(web_ds.samples[ec.n_train :], web_ds.seed),
-    )
-    artifacts.save_dataset("tm1_train", train_ds)
-    artifacts.save_dataset("tm1_test", test_ds)
-
-    params, history = det.train(train_ds, replace(ec.train, seed=seed_for(ec.master_seed, "tm1-train")))
-    artifacts.save_detector("detector_baseline", params)
+    parts = ((Provenance.REGULAR, ec.n_train, ec.n_test), (Provenance.WEB, ec.n_train, ec.n_test))
+    params, history, train_ds, test_ds = _train_stage(ec, artifacts, "tm1", parts, "detector_baseline")
     acc = det.accuracy(params, test_ds)
 
     evasion = {}
@@ -374,7 +354,7 @@ def craft_libraries(
             # framework emits, single-exchange stragglers included.
             min_exchanges=1 if side is StuffSide.PAYLOAD_ONLY else 2,
         )
-        for side in (StuffSide.FRAMEWORK_ONLY, StuffSide.PAYLOAD_ONLY, StuffSide.TWO_SIDE)
+        for side in StuffSide
     }
     # Stuffing both directions subsumes stuffing one: the two-side
     # operator may also schedule response-only plans when queued
@@ -386,34 +366,20 @@ def craft_libraries(
 def run_threat_model_2(
     ec: ExperimentConfig, artifacts: Artifacts
 ) -> tuple[dict, det.DetectorParams, dict[StuffSide, list]]:
-    n_c2 = ec.n_aware_regular + ec.n_aware_randreq
     test_reg = max(1, ec.n_test // 2)
-    reg_ds, _ = build_dataset(Provenance.REGULAR, ec.n_aware_regular + test_reg, ec, "tm2")
-    rr_ds, _ = build_dataset(Provenance.RAND_REQ, ec.n_aware_randreq + test_reg, ec, "tm2")
-    web_ds, _ = build_dataset(Provenance.WEB, n_c2 + 2 * test_reg, ec, "tm2")
-
-    train_ds = _concat(
-        Dataset(reg_ds.samples[: ec.n_aware_regular], reg_ds.seed),
-        Dataset(rr_ds.samples[: ec.n_aware_randreq], rr_ds.seed),
-        Dataset(web_ds.samples[:n_c2], web_ds.seed),
+    parts = (
+        (Provenance.REGULAR, ec.n_aware_regular, test_reg),
+        (Provenance.RAND_REQ, ec.n_aware_randreq, test_reg),
+        (Provenance.WEB, ec.n_aware_regular + ec.n_aware_randreq, 2 * test_reg),
     )
-    test_ds = _concat(
-        Dataset(reg_ds.samples[ec.n_aware_regular :], reg_ds.seed),
-        Dataset(rr_ds.samples[ec.n_aware_randreq :], rr_ds.seed),
-        Dataset(web_ds.samples[n_c2:], web_ds.seed),
-    )
-    artifacts.save_dataset("tm2_train", train_ds)
-    artifacts.save_dataset("tm2_test", test_ds)
-
-    params, history = det.train(train_ds, replace(ec.train, seed=seed_for(ec.master_seed, "tm2-train")))
-    artifacts.save_detector("detector_aware", params)
+    params, history, train_ds, test_ds = _train_stage(ec, artifacts, "tm2", parts, "detector_aware")
     acc = det.accuracy(params, test_ds)
 
     rr_eval, _ = build_dataset(Provenance.RAND_REQ, ec.n_eval, ec, "tm2-eval")
     artifacts.save_dataset("eval_randreq_aware", rr_eval)
     rr_result = _evaluate_evasion(params, rr_eval, artifacts, "tm2_randreq")
 
-    attack_samples = [s for s in rr_ds.samples[: ec.n_aware_randreq]]
+    attack_samples = [s for s in train_ds.samples if s.provenance is Provenance.RAND_REQ]
     sweep: dict[str, dict] = {}
     libraries: dict[float, dict[StuffSide, list]] = {}
     adv_datasets: dict[float, dict[StuffSide, Dataset]] = {}
@@ -421,7 +387,7 @@ def run_threat_model_2(
         libraries[eps] = crafted = craft_libraries(ec, params, attack_samples, eps)
         adv_datasets[eps] = {}
         sweep[f"{eps}"] = {}
-        for side in (StuffSide.FRAMEWORK_ONLY, StuffSide.PAYLOAD_ONLY, StuffSide.TWO_SIDE):
+        for side in StuffSide:
             prov = _ADV_PROVENANCE[side]
             adv_ds, flows = build_dataset(prov, ec.n_adv_eval, ec, f"tm2-eps{eps}", library=tuple(crafted[side]))
             adv_datasets[eps][side] = adv_ds
@@ -433,17 +399,13 @@ def run_threat_model_2(
         ec.epsilon_sweep,
         key=lambda e: sweep[f"{e}"][StuffSide.FRAMEWORK_ONLY.value]["evasion_rate"],
     )
-    for side in (StuffSide.FRAMEWORK_ONLY, StuffSide.PAYLOAD_ONLY, StuffSide.TWO_SIDE):
+    for side in StuffSide:
         prov = _ADV_PROVENANCE[side]
         artifacts.save_dataset(f"eval_{prov.value}", adv_datasets[best_eps][side])
-        if artifacts.root is not None:
-            rel = f"plans/{side.value}_eps{best_eps}.json"
-            adv.save_plan_library(
-                artifacts.root / rel,
-                libraries[best_eps][side],
-                {"epsilon": best_eps, "side": side.value, "source": Provenance.RAND_REQ.value},
-            )
-            artifacts.files.append(rel)
+        path = artifacts._path(f"plans/{side.value}_eps{best_eps}.json")
+        if path is not None:
+            meta = {"epsilon": best_eps, "side": side.value, "source": Provenance.RAND_REQ.value}
+            adv.save_plan_library(path, libraries[best_eps][side], meta)
 
     report = {
         "aware_accuracy": acc,
@@ -476,7 +438,7 @@ def run_overhead(
         "conn_gap_adversarial": [],
     }
     # built once: constructing the mode indexes the whole library
-    modes = (("regular", Regular()), ("adversarial", Adversarial(StuffSide.TWO_SIDE, tuple(two_side_library))))
+    modes = (("regular", Provenance.REGULAR), ("adversarial", Adversarial(StuffSide.TWO_SIDE, tuple(two_side_library))))
     for run_idx in range(ec.overhead_runs):
         run_seed = seed_for(ec.master_seed, f"overhead-{run_idx}")
         script = interactive_script(substream(run_seed, "overhead-script"))
@@ -548,18 +510,11 @@ def run_full_experiment(ec: ExperimentConfig, out_dir: str | Path | None = None)
     report = {"config": ec.to_dict(), "threat_model_1": tm1, "threat_model_2": tm2}
     if overhead is not None:
         report["overhead"] = overhead
-    if artifacts.root is not None:
-        with open(artifacts.root / "report.json", "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        artifacts.files.append("report.json")
-        artifacts.write_manifest()
+    artifacts.save_json("report.json", report)
+    artifacts.write_manifest()
     return report
 
 
 def report_bytes(report: dict) -> bytes:
-    """Canonical serialization used by the determinism checks."""
-    buf = io.StringIO()
-    json.dump(report, buf, sort_keys=True, indent=1)
-    buf.write("\n")
-    return buf.getvalue().encode()
+    """Canonical JSON serialization: every JSON file the run writes, and the determinism checks."""
+    return (json.dumps(report, sort_keys=True, indent=1) + "\n").encode()

@@ -28,7 +28,7 @@ import numpy as np
 # sample_plan is unused here but stays importable as sim.sample_plan, the name
 # perfbench/layers.py wraps to count scalar plan draws
 from .adversarial import StuffingPlan, StuffSide, chain_plans, sample_plan  # noqa: F401
-from .model import Direction, FlowTrace, RecordEvent
+from .model import Direction, FlowTrace, Provenance, RecordEvent
 from .protocol import (
     FrameworkReply,
     FrameworkSession,
@@ -59,31 +59,20 @@ def substream(seed: int, *labels) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # modes
 
-@dataclass(frozen=True)
-class Regular:
-    pass
+# A naive C2 mode is the provenance its flows are labeled with; each one's
+# single setting is a constant here. Ranges are inclusive.
+STUFF_FIXED_BYTES = 50  # stuff50: filler added to every message
+STUFF_RAND_BYTES = (1, 1400)  # stuffRand: filler drawn per message
+FIXED_REQ_PER_CONN = 3  # fixed3Req: exchanges per connection
+RAND_REQ_PER_CONN = (2, 6)  # randReq: exchanges drawn per connection
 
-
-@dataclass(frozen=True)
-class StuffFixed:
-    amount: int = 50
-
-
-@dataclass(frozen=True)
-class StuffRandom:
-    low: int = 1
-    high: int = 1400
-
-
-@dataclass(frozen=True)
-class FixedReqPerConn:
-    requests: int = 3
-
-
-@dataclass(frozen=True)
-class RandReqPerConn:
-    low: int = 2
-    high: int = 6
+NAIVE_MODES = (
+    Provenance.REGULAR,
+    Provenance.STUFF50,
+    Provenance.STUFF_RAND,
+    Provenance.FIXED3_REQ,
+    Provenance.RAND_REQ,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +123,7 @@ class Adversarial:
         object.__setattr__(self, "index", PlanIndex.build(self.library))
 
 
-Mode = Union[Regular, StuffFixed, StuffRandom, FixedReqPerConn, RandReqPerConn, Adversarial]
+Mode = Union[Provenance, Adversarial]
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +220,7 @@ def interactive_script(rng: np.random.Generator, specs: Sequence[CommandSpec] = 
 
 @dataclass(frozen=True)
 class SimConfig:
-    mode: Mode = field(default_factory=Regular)
+    mode: Mode = Provenance.REGULAR  # one of NAIVE_MODES, or Adversarial
     seed: int = 0
     poll_initial: float = 1.0
     poll_max: float = 10.0
@@ -248,6 +237,8 @@ class SimConfig:
     codec: HeaderCodec = field(default_factory=HeaderCodec)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, Adversarial) and self.mode not in NAIVE_MODES:
+            raise ValueError(f"mode must be a naive C2 provenance or Adversarial, got {self.mode!r}")
         if self.poll_initial <= 0 or self.poll_max < self.poll_initial:
             raise ValueError("poll_initial must be > 0 and <= poll_max")
         if self.handshake_wire_bytes < 600:
@@ -325,25 +316,17 @@ def _workflow(script: SessionScript, cfg: SimConfig, jit_p: int, jit_f: int) -> 
     return events
 
 
-def _group_sizes(mode: Mode, n_exchanges: int, rng: np.random.Generator) -> list[int]:
-    if isinstance(mode, FixedReqPerConn):
-        per = mode.requests
-    elif isinstance(mode, RandReqPerConn):
-        sizes = []
-        left = n_exchanges
-        while left > 0:
-            take = min(int(rng.integers(mode.low, mode.high + 1)), left)
-            sizes.append(take)
-            left -= take
-        return sizes
-    else:
-        per = 1
+def _group_sizes(mode: Provenance, n_exchanges: int, rng: np.random.Generator) -> list[int]:
+    """Exchanges per connection, in session order."""
     sizes = []
     left = n_exchanges
     while left > 0:
-        take = min(per, left)
-        sizes.append(take)
-        left -= take
+        if mode is Provenance.RAND_REQ:
+            per = int(rng.integers(RAND_REQ_PER_CONN[0], RAND_REQ_PER_CONN[1] + 1))
+        else:
+            per = FIXED_REQ_PER_CONN if mode is Provenance.FIXED3_REQ else 1
+        sizes.append(min(per, left))
+        left -= sizes[-1]
     return sizes
 
 
@@ -367,12 +350,13 @@ def simulate_session(script: SessionScript, cfg: SimConfig, session_index: int =
     stuff_rng = substream(cfg.seed, "stuff", session_index)
     group_rng = substream(cfg.seed, "group", session_index)
     frame = cfg.size_model.framed_size
+    mode = cfg.mode
 
     def stuffing() -> int:
-        if isinstance(cfg.mode, StuffFixed):
-            return cfg.mode.amount
-        if isinstance(cfg.mode, StuffRandom):
-            return int(stuff_rng.integers(cfg.mode.low, cfg.mode.high + 1))
+        if mode is Provenance.STUFF50:
+            return STUFF_FIXED_BYTES
+        if mode is Provenance.STUFF_RAND:
+            return int(stuff_rng.integers(STUFF_RAND_BYTES[0], STUFF_RAND_BYTES[1] + 1))
         return 0
 
     exchanges = []
@@ -388,7 +372,7 @@ def simulate_session(script: SessionScript, cfg: SimConfig, session_index: int =
 
     conns = []
     cursor = 0
-    for take in _group_sizes(cfg.mode, len(exchanges), group_rng):
+    for take in _group_sizes(mode, len(exchanges), group_rng):
         conns.append(Conn(tuple(exchanges[cursor : cursor + take])))
         cursor += take
     return SessionResult(conns, runtime)

@@ -29,16 +29,11 @@ from c2lab.adversarial import (
 from c2lab.detector import DetectorParams, forward, input_gradient, loss_on, normalize
 from c2lab.extract import traces_from_pcap
 from c2lab.harness import ExperimentConfig, report_bytes, run_full_experiment
-from c2lab.model import Direction, FeatureVector, features_from_trace
+from c2lab.model import Direction, FeatureVector, Provenance, features_from_trace
 from c2lab.protocol import HeaderCodec
 from c2lab.sim import (
     Adversarial,
-    FixedReqPerConn,
-    RandReqPerConn,
-    Regular,
     SimConfig,
-    StuffFixed,
-    StuffRandom,
     emit_pcap,
     generate_c2_traces,
     generate_web_traces,
@@ -177,11 +172,11 @@ def _planned_capture_conns():
     )
     planned = []
     c2_modes = [
-        (Regular(), 200, 41),
-        (StuffFixed(50), 150, 42),
-        (StuffRandom(1, 1400), 150, 43),
-        (FixedReqPerConn(3), 120, 44),
-        (RandReqPerConn(2, 6), 120, 45),
+        (Provenance.REGULAR, 200, 41),
+        (Provenance.STUFF50, 150, 42),
+        (Provenance.STUFF_RAND, 150, 43),
+        (Provenance.FIXED3_REQ, 120, 44),
+        (Provenance.RAND_REQ, 120, 45),
         (Adversarial(StuffSide.TWO_SIDE, library), 100, 46),
     ]
     for mode, n, seed in c2_modes:

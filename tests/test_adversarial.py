@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -127,6 +128,9 @@ def test_raw_step_is_exactly_epsilon_scaled():
 def test_fgsm_config_validation():
     with pytest.raises(ValueError):
         FgsmConfig(epsilon=-0.1)
+    for eps in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            FgsmConfig(epsilon=eps)
     with pytest.raises(ValueError):
         FgsmConfig(position_floors=(1, 2, 3))
     assert FgsmConfig().grid_cap == 16400

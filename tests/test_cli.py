@@ -212,6 +212,20 @@ def test_bad_plan_library_exits_2_without_traceback(tmp_path, capsys):
     _assert_one_line_error(capsys, str(plans), "plans[0]", "targets[0].size")
 
 
+@pytest.mark.parametrize("epsilon", ["inf", "nan", "--epsilon=-inf"])
+def test_attack_non_finite_epsilon_exits_2_without_plans(pipeline, tmp_path, capsys, epsilon):
+    out = tmp_path / "plans.json"
+    flag = [epsilon] if epsilon.startswith("--") else ["--epsilon", epsilon]
+    capsys.readouterr()
+    rc = main([
+        "attack", "--model", str(pipeline["model"]), "--data", str(pipeline["randreq"]),
+        *flag, "--side", "two_side", "--out", str(out),
+    ])
+    assert rc == 2
+    _assert_one_line_error(capsys, "epsilon must be finite")
+    assert not out.exists()
+
+
 def test_missing_input_exits_2_without_traceback(tmp_path, capsys):
     missing = tmp_path / "nowhere.csv"
     rc = main(["train", "--data", str(missing), "--out", str(tmp_path / "m.bin")])

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from c2lab import detector as det
 from c2lab.adversarial import StuffSide, plan_from_adversarial
 from c2lab.harness import (
+    MODE_PROVENANCES,
     NOT_CONFIG_KEYS,
     Artifacts,
     ExperimentConfig,
@@ -25,13 +26,13 @@ from c2lab.harness import (
 )
 from c2lab.model import FeatureVector, Label, Provenance
 from c2lab.sim import (
+    FIXED_REQ_PER_CONN,
+    NAIVE_MODES,
+    RAND_REQ_PER_CONN,
+    STUFF_FIXED_BYTES,
+    STUFF_RAND_BYTES,
     Adversarial,
-    FixedReqPerConn,
-    RandReqPerConn,
-    Regular,
     SimConfig,
-    StuffFixed,
-    StuffRandom,
     WebConfig,
 )
 from c2lab.sizing import TlsSizeModel
@@ -85,15 +86,13 @@ def test_attack_config_tracks_sim_overrides():
 # provenance -> traffic mode
 
 def test_mode_for_naive_modes():
-    assert isinstance(mode_for(Provenance.REGULAR), Regular)
-    stuff = mode_for(Provenance.STUFF50)
-    assert isinstance(stuff, StuffFixed) and stuff.amount == 50
-    rand = mode_for(Provenance.STUFF_RAND)
-    assert isinstance(rand, StuffRandom) and (rand.low, rand.high) == (1, 1400)
-    fixed = mode_for(Provenance.FIXED3_REQ)
-    assert isinstance(fixed, FixedReqPerConn) and fixed.requests == 3
-    rr = mode_for(Provenance.RAND_REQ)
-    assert isinstance(rr, RandReqPerConn) and (rr.low, rr.high) == (2, 6)
+    assert MODE_PROVENANCES is NAIVE_MODES
+    for prov in NAIVE_MODES:
+        assert mode_for(prov) is prov
+    assert STUFF_FIXED_BYTES == 50
+    assert STUFF_RAND_BYTES == (1, 1400)
+    assert FIXED_REQ_PER_CONN == 3
+    assert RAND_REQ_PER_CONN == (2, 6)
 
 
 def _toy_plan():

@@ -6,17 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from c2lab import sim
 from c2lab.adversarial import StuffSide, StuffingPlan, PlanTarget, sample_plan
-from c2lab.model import Direction, MAX_RECORD_SIZE
+from c2lab.model import Direction, MAX_RECORD_SIZE, Provenance
 from c2lab.sim import (
     Adversarial,
     Command,
-    FixedReqPerConn,
-    RandReqPerConn,
-    Regular,
     SessionScript,
     SimConfig,
-    StuffFixed,
-    StuffRandom,
     WebConfig,
     _group_sizes,
     _schedule_plans,
@@ -72,7 +67,7 @@ def test_regular_mode_one_exchange_per_connection():
 
 def test_fixed_grouping_three_requests_six_records():
     sc = script((60, 300), (70, 2000), (50, 400))
-    cfg = SimConfig(mode=FixedReqPerConn(3), seed=11)
+    cfg = SimConfig(mode=Provenance.FIXED3_REQ, seed=11)
     result = simulate_session(sc, cfg)
     assert len(result.conns[0].exchanges) == 3
     assert len(result.conns[0].records()) == 6
@@ -81,17 +76,42 @@ def test_fixed_grouping_three_requests_six_records():
 def test_rand_grouping_sizes_within_bounds():
     rng = substream(3, "t")
     for n in (1, 2, 7, 23, 60):
-        sizes = _group_sizes(RandReqPerConn(2, 6), n, rng)
+        sizes = _group_sizes(Provenance.RAND_REQ, n, rng)
         assert sum(sizes) == n
         assert all(1 <= s <= 6 for s in sizes)
         # only the remainder may fall below the lower bound
         assert all(s >= 2 for s in sizes[:-1])
 
 
+@settings(max_examples=200, deadline=None)
+@given(mode=st.sampled_from(sim.NAIVE_MODES), n=st.integers(0, 50), seed=st.integers(0, 2**31 - 1))
+def test_group_sizes_partition_every_naive_mode(mode, n, seed):
+    sizes = _group_sizes(mode, n, substream(seed, "group"))
+    assert sum(sizes) == n
+    assert all(s >= 1 for s in sizes)
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [
+        Provenance.WEB,
+        Provenance.ADV_FRAMEWORK,
+        Provenance.ADV_PAYLOAD,
+        Provenance.ADV_TWO_SIDE,
+        "stuff50",
+        None,
+    ],
+    ids=repr,
+)
+def test_sim_config_rejects_non_modes(mode):
+    with pytest.raises(ValueError, match="mode"):
+        SimConfig(mode=mode)
+
+
 def test_fixed_stuffing_inflates_every_record():
     sc = script((60, 300))
     plain = simulate_session(sc, SimConfig(seed=11))
-    stuffed = simulate_session(sc, SimConfig(mode=StuffFixed(50), seed=11))
+    stuffed = simulate_session(sc, SimConfig(mode=Provenance.STUFF50, seed=11))
     frame = CFG.size_model.framed_size
     for p, s in zip(plain.conns[0].records(), stuffed.conns[0].records()):
         assert s.stuffing == 50
@@ -100,7 +120,7 @@ def test_fixed_stuffing_inflates_every_record():
 
 def test_random_stuffing_bounded():
     sc = script((60, 300), (80, 5000))
-    result = simulate_session(sc, SimConfig(mode=StuffRandom(1, 1400), seed=4))
+    result = simulate_session(sc, SimConfig(mode=Provenance.STUFF_RAND, seed=4))
     for conn in result.conns:
         for m in conn.records():
             assert 1 <= m.stuffing <= 1400
@@ -111,7 +131,7 @@ def test_reshaping_preserves_the_workflow():
     sc = script((60, 300), (70, 2000), (55, 800))
     runs = [
         simulate_session(sc, SimConfig(mode=mode, seed=11))
-        for mode in (Regular(), StuffFixed(50), StuffRandom(1, 1400), FixedReqPerConn(3))
+        for mode in (Provenance.REGULAR, Provenance.STUFF50, Provenance.STUFF_RAND, Provenance.FIXED3_REQ)
     ]
     skeletons = [
         [(m.time, m.direction, m.content) for c in r.conns for m in c.records()]
@@ -123,10 +143,10 @@ def test_reshaping_preserves_the_workflow():
 
 def test_session_determinism():
     sc = script((60, 300), (70, 2000))
-    a = simulate_session(sc, SimConfig(mode=StuffRandom(1, 1400), seed=9), session_index=2)
-    b = simulate_session(sc, SimConfig(mode=StuffRandom(1, 1400), seed=9), session_index=2)
+    a = simulate_session(sc, SimConfig(mode=Provenance.STUFF_RAND, seed=9), session_index=2)
+    b = simulate_session(sc, SimConfig(mode=Provenance.STUFF_RAND, seed=9), session_index=2)
     assert a.conns == b.conns
-    c = simulate_session(sc, SimConfig(mode=StuffRandom(1, 1400), seed=9), session_index=3)
+    c = simulate_session(sc, SimConfig(mode=Provenance.STUFF_RAND, seed=9), session_index=3)
     assert a.conns != c.conns
 
 
