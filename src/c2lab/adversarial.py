@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .detector import DetectorParams, input_gradient, normalize
-from .model import FEATURE_LEN, Direction, FeatureVector, Label, MAX_RECORD_SIZE, PAD_VALUE, check_int
+from .model import FEATURE_LEN, Direction, FeatureVector, Label, MAX_RECORD_SIZE, PAD_VALUE, check_int, report_bytes
 from .sizing import TlsSizeModel
 
 
@@ -46,7 +46,6 @@ class StuffSide(enum.Enum):
 class FgsmConfig:
     epsilon: float = 0.05
     size_model: TlsSizeModel = field(default_factory=TlsSizeModel)
-    max_size: int = MAX_RECORD_SIZE
     # Stuffing only adds bytes: a target below the smallest message the
     # protocol ever sends at that position is silently overshot on the wire.
     # (request_floor, response_floor) clamps crafted targets to sizes the
@@ -62,7 +61,7 @@ class FgsmConfig:
     @property
     def grid_cap(self) -> int:
         # largest grid point a record may advertise
-        return (self.max_size // self.size_model.block_len) * self.size_model.block_len
+        return (MAX_RECORD_SIZE // self.size_model.block_len) * self.size_model.block_len
 
 
 # Sign matrices kept by _gradient_signs; a report sweep needs two at a time.
@@ -136,8 +135,7 @@ def fgsm_batch(
         return x.copy()
     adv = np.atleast_2d(fgsm_raw(params, x, y, config.epsilon, mask=mask))
     moved = adv != x
-    block = config.size_model.block_len
-    snapped = np.round(adv / block) * block
+    snapped = config.size_model.snap(adv)
     floor = np.full(x.shape[1], float(config.size_model.min_framed_size()))
     if config.position_floors is not None:
         req_floor, resp_floor = config.position_floors
@@ -221,17 +219,13 @@ class StuffingPlan:
         return None
 
 
-def alternating_directions(n: int, first: Direction = Direction.PAYLOAD_TO_FRAMEWORK) -> tuple[Direction, ...]:
-    """Request/response alternation: the client speaks on even positions."""
+def alternating_directions(n: int) -> tuple[Direction, ...]:
+    """Request/response alternation: the client (payload) speaks on even positions."""
+    first = Direction.PAYLOAD_TO_FRAMEWORK
     return tuple(first if i % 2 == 0 else first.flipped() for i in range(n))
 
 
-def plan_from_adversarial(
-    x_star: FeatureVector,
-    side: StuffSide,
-    directions: Sequence[Direction] | None = None,
-    source_id: str = "",
-) -> StuffingPlan:
+def plan_from_adversarial(x_star: FeatureVector, side: StuffSide, source_id: str = "") -> StuffingPlan:
     """Turn a realizable adversarial vector into a stuffing plan.
 
     The vector's non-padding length fixes the connection's record count;
@@ -240,9 +234,7 @@ def plan_from_adversarial(
     n = x_star.n_records
     if n == 0:
         raise ValueError("adversarial vector has no records")
-    dirs = tuple(directions) if directions is not None else alternating_directions(n)
-    if len(dirs) < n:
-        raise ValueError(f"need {n} directions, got {len(dirs)}")
+    dirs = alternating_directions(n)
     targets = tuple(
         PlanTarget(i, dirs[i], int(x_star.values[i]))
         for i in range(n)
@@ -336,9 +328,7 @@ def save_plan_library(path: str | Path, plans: Sequence[StuffingPlan], meta: dic
             for p in plans
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    path.write_bytes(report_bytes(doc))
 
 
 def _plan_from_entry(entry) -> StuffingPlan:

@@ -18,6 +18,7 @@ from . import detector as det
 from .adversarial import StuffSide
 from .extract import traces_from_pcap
 from .harness import (
+    _ADV_PROVENANCE,
     Artifacts,
     ExperimentConfig,
     attack_config,
@@ -42,14 +43,21 @@ def _load_experiment(args) -> ExperimentConfig:
     return ec
 
 
+def _read_dataset(path) -> Dataset:
+    """A dataset CSV that holds at least one sample."""
+    ds = Dataset.from_csv(path)
+    if not ds.samples:
+        raise ValueError(f"{path}: holds no samples")
+    return ds
+
+
 def _cmd_gen(args) -> int:
     ec = _load_experiment(args)
     provenance = Provenance(args.mode)
     library = ()
-    if provenance in (Provenance.ADV_FRAMEWORK, Provenance.ADV_PAYLOAD, Provenance.ADV_TWO_SIDE):
+    if provenance in _ADV_PROVENANCE.values():
         if not args.plans:
-            print("adversarial modes need --plans", file=sys.stderr)
-            return 2
+            raise ValueError("adversarial modes need --plans")
         library, _meta = adv.load_plan_library(args.plans)
         library = tuple(library)
     ds, _flows = build_dataset(provenance, args.n, ec, stage="cli", library=library)
@@ -72,7 +80,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_train(args) -> int:
     ec = _load_experiment(args)
-    parts = [Dataset.from_csv(p) for p in args.data]
+    parts = [_read_dataset(p) for p in args.data]
     merged = Dataset([s for d in parts for s in d.samples], ec.master_seed)
     params, history = det.train(merged, replace(ec.train, seed=ec.master_seed))
     params.save(args.out)
@@ -87,7 +95,7 @@ def _cmd_train(args) -> int:
 def _cmd_attack(args) -> int:
     ec = _load_experiment(args)
     params = det.DetectorParams.load(args.model)
-    ds = Dataset.from_csv(args.data)
+    ds = _read_dataset(args.data)
     side = StuffSide(args.side)
     lib = adv.build_plan_library(
         params,
@@ -104,7 +112,7 @@ def _cmd_attack(args) -> int:
 
 def _cmd_eval(args) -> int:
     params = det.DetectorParams.load(args.model)
-    ds = Dataset.from_csv(args.data)
+    ds = _read_dataset(args.data)
     predictions = det.predict(params, [s.features for s in ds.samples])
     if args.out:
         write_predictions(args.out, ds, predictions)

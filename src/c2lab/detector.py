@@ -107,10 +107,9 @@ class DetectorParams:
         rng: np.random.Generator,
         input_len: int = 20,
         hidden_sizes: Sequence[int] = (2048, 1024, 512),
-        n_classes: int = 2,
         dtype: str = "float32",
     ) -> "DetectorParams":
-        sizes = [input_len, *hidden_sizes, n_classes]
+        sizes = [input_len, *hidden_sizes, len(CLASS_ORDER)]
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes, sizes[1:]):
             scale = np.sqrt(2.0 / fan_in)  # He, matches the ReLU hiddens
@@ -208,21 +207,9 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward(
-    params: DetectorParams,
-    x_norm: np.ndarray,
-    training: bool = False,
-    dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Class probabilities for normalized inputs, shape (..., 2).
-
-    Dropout only fires when training is set; evaluation is deterministic.
-    """
-    rate = dropout_rate if training else 0.0
-    if rate > 0 and rng is None:
-        raise ValueError("dropout requires an rng")
-    probs = _softmax(_forward_core(params, np.atleast_2d(np.asarray(x_norm)), rate, rng))
+def forward(params: DetectorParams, x_norm: np.ndarray) -> np.ndarray:
+    """Class probabilities for normalized inputs, shape (..., 2), dropout off."""
+    probs = _softmax(_forward_core(params, np.atleast_2d(np.asarray(x_norm))))
     return probs if np.ndim(x_norm) > 1 else probs[0]
 
 
@@ -257,18 +244,11 @@ def _classes(probs: np.ndarray) -> np.ndarray:
     return np.where(probs[:, 0] >= probs[:, 1], 0, 1)
 
 
-def predict(params: DetectorParams, features: np.ndarray | Sequence[FeatureVector]) -> list[Label]:
-    """Labels for raw (unnormalized) feature rows."""
-    probs = forward(params, normalize(_as_raw_matrix(features), params.norm_scale))
+def predict(params: DetectorParams, features: Sequence[FeatureVector]) -> list[Label]:
+    """Labels for feature vectors."""
+    x_raw = np.array([fv.values for fv in features], dtype=np.float64)
+    probs = forward(params, normalize(x_raw, params.norm_scale))
     return [CLASS_ORDER[i] for i in _classes(probs).tolist()]
-
-
-def _as_raw_matrix(features: np.ndarray | Sequence[FeatureVector] | Dataset) -> np.ndarray:
-    if isinstance(features, Dataset):
-        features = [s.features for s in features.samples]
-    if isinstance(features, np.ndarray):
-        return np.atleast_2d(features)
-    return np.array([fv.values for fv in features], dtype=np.float64)
 
 
 def dataset_matrices(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:

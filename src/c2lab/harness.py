@@ -10,7 +10,6 @@ from the files the run leaves behind.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import sys
 import zlib
@@ -22,7 +21,7 @@ import numpy as np
 from . import adversarial as adv
 from . import detector as det
 from .adversarial import FgsmConfig, StuffSide
-from .model import Dataset, Label, LabeledSample, Provenance, check_int, evasion_rate, features_from_trace
+from .model import Dataset, Label, LabeledSample, Provenance, check_int, evasion_rate, features_from_trace, report_bytes
 from .sim import (
     NAIVE_MODES,
     Adversarial,
@@ -513,8 +512,3 @@ def run_full_experiment(ec: ExperimentConfig, out_dir: str | Path | None = None)
     artifacts.save_json("report.json", report)
     artifacts.write_manifest()
     return report
-
-
-def report_bytes(report: dict) -> bytes:
-    """Canonical JSON serialization: every JSON file the run writes, and the determinism checks."""
-    return (json.dumps(report, sort_keys=True, indent=1) + "\n").encode()

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import enum
+import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 FEATURE_LEN = 20
 PAD_VALUE = -1.0
@@ -29,6 +30,11 @@ def check_int(name: str, value, low: int, high: int | None = None):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
     return value
+
+
+def report_bytes(report: dict) -> bytes:
+    """Canonical JSON serialization of reports, manifests and plan libraries, and the determinism checks."""
+    return (json.dumps(report, sort_keys=True, indent=1) + "\n").encode()
 
 
 class Direction(enum.Enum):
@@ -109,15 +115,8 @@ class FlowTrace:
                 raise ValueError("record timestamps not monotonic")
             prev = rec.timestamp
 
-    @property
-    def duration(self) -> float:
-        return self.close_time - self.open_time
-
     def sizes(self) -> list[int]:
         return [rec.size for rec in self.records]
-
-    def appdata_bytes(self) -> int:
-        return sum(rec.size for rec in self.records)
 
 
 @dataclass(frozen=True)
@@ -182,21 +181,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    def __iter__(self) -> Iterator[LabeledSample]:
-        return iter(self.samples)
-
-    def labels(self) -> list[Label]:
-        return [s.label for s in self.samples]
-
-    def only(self, label: Label) -> "Dataset":
-        return Dataset([s for s in self.samples if s.label is label], self.seed)
-
-    def class_counts(self) -> dict[Label, int]:
-        counts = {Label.C2: 0, Label.NON_C2: 0}
-        for s in self.samples:
-            counts[s.label] += 1
-        return counts
 
     def to_csv(self, path: str | Path) -> None:
         path = Path(path)

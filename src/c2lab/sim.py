@@ -195,23 +195,18 @@ OVERHEAD_COMMANDS: tuple[CommandSpec, ...] = (
 )
 
 
-def sample_script(
-    rng: np.random.Generator,
-    catalog: Sequence[CommandSpec] = DEFAULT_CATALOG,
-    n_commands: tuple[int, int] = (3, 8),
-    gap_mean: float = 2.5,
-    gap_max: float = 9.0,
-) -> SessionScript:
-    n = int(rng.integers(n_commands[0], n_commands[1] + 1))
-    commands = tuple(catalog[int(rng.integers(len(catalog)))].sample(rng) for _ in range(n))
-    gaps = tuple(float(min(rng.exponential(gap_mean), gap_max)) for _ in range(n))
+def sample_script(rng: np.random.Generator) -> SessionScript:
+    """3 to 8 commands drawn from DEFAULT_CATALOG, exponential gaps (mean 2.5 s) capped at 9 s."""
+    n = int(rng.integers(3, 9))
+    commands = tuple(DEFAULT_CATALOG[int(rng.integers(len(DEFAULT_CATALOG)))].sample(rng) for _ in range(n))
+    gaps = tuple(float(min(rng.exponential(2.5), 9.0)) for _ in range(n))
     return SessionScript(commands, gaps)
 
 
-def interactive_script(rng: np.random.Generator, specs: Sequence[CommandSpec] = OVERHEAD_COMMANDS) -> SessionScript:
-    """One operator pass over a fixed command sequence, typing-paced."""
-    commands = tuple(spec.sample(rng) for spec in specs)
-    gaps = tuple(float(rng.uniform(0.8, 1.6)) for _ in specs)
+def interactive_script(rng: np.random.Generator) -> SessionScript:
+    """One operator pass over OVERHEAD_COMMANDS, typing-paced."""
+    commands = tuple(spec.sample(rng) for spec in OVERHEAD_COMMANDS)
+    gaps = tuple(float(rng.uniform(0.8, 1.6)) for _ in OVERHEAD_COMMANDS)
     return SessionScript(commands, gaps)
 
 
@@ -640,19 +635,15 @@ def _conn_to_trace(records: Sequence[tuple[float, Direction, int]], cfg: SimConf
     )
 
 
-def generate_c2_traces(
-    n_flows: int,
-    cfg: SimConfig,
-    catalog: Sequence[CommandSpec] = DEFAULT_CATALOG,
-    session_spacing: float = 1.0,
-) -> GeneratedFlows:
-    """Simulate sessions until n_flows connections exist, on a shared clock."""
+def generate_c2_traces(n_flows: int, cfg: SimConfig) -> GeneratedFlows:
+    """Simulate sessions until n_flows connections exist, on a shared clock,
+    one second apart."""
     out = GeneratedFlows([], [], 0, 0)
     cursor = 1.0  # leaves room for the first handshake's lead frames
     session = 0
     while len(out.traces) < n_flows:
         script_rng = substream(cfg.seed, "script", session)
-        script = sample_script(script_rng, catalog)
+        script = sample_script(script_rng)
         result = simulate_session(script, cfg, session)
         out.missing_next_size += result.missing_next_size
         for conn in result.conns:
@@ -661,7 +652,7 @@ def generate_c2_traces(
             records = tuple((round(m.time + cursor, 6), m.direction, m.size) for m in conn.records())
             out.conn_records.append(records)
             out.traces.append(_conn_to_trace(records, cfg, f"c2-{session}-{len(out.traces)}"))
-        cursor = round(cursor + result.runtime + session_spacing, 6)
+        cursor = round(cursor + result.runtime + 1.0, 6)
         session += 1
         out.sessions = session
     return out

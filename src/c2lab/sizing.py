@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 RECORD_HEADER_LEN = 5
 
 
@@ -35,14 +37,12 @@ class TlsSizeModel:
         """Smallest length field any record can carry (empty plaintext)."""
         return self.framed_size(0)
 
-    def wire_size(self, plaintext_len: int) -> int:
-        """Bytes the record occupies in the TCP stream, header included."""
-        return RECORD_HEADER_LEN + self.framed_size(plaintext_len)
-
     def on_grid(self, framed: int) -> bool:
         return framed >= self.min_framed_size() and framed % self.block_len == 0
 
-    def snap(self, framed: float) -> int:
-        """Round an arbitrary size onto the achievable record-size grid."""
-        snapped = round(framed / self.block_len) * self.block_len
-        return max(snapped, self.min_framed_size())
+    def snap(self, framed):
+        """Round a size, or an array of sizes, onto the achievable record-size grid.
+
+        A half block rounds to the even block count.
+        """
+        return np.maximum(np.round(np.divide(framed, self.block_len)) * self.block_len, self.min_framed_size())

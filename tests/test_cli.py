@@ -54,7 +54,7 @@ def test_gen_seed_changes_data(tmp_path):
 def test_gen_adversarial_needs_plans(tmp_path, capsys):
     out = tmp_path / "adv.csv"
     assert main(["gen", "--mode", "advTwoSide", "--n", "3", "--out", str(out)]) == 2
-    assert "need --plans" in capsys.readouterr().err
+    _assert_one_line_error(capsys, "need --plans")
     assert not out.exists()
 
 
@@ -223,6 +223,22 @@ def test_attack_non_finite_epsilon_exits_2_without_plans(pipeline, tmp_path, cap
     ])
     assert rc == 2
     _assert_one_line_error(capsys, "epsilon must be finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "attack", "train"])
+def test_header_only_dataset_exits_2_naming_the_file(pipeline, tmp_path, capsys, command):
+    empty = tmp_path / "empty.csv"
+    Dataset([], 0).to_csv(empty)
+    out = tmp_path / "out"
+    args = {
+        "eval": ["eval", "--model", str(pipeline["model"]), "--data", str(empty)],
+        "attack": ["attack", "--model", str(pipeline["model"]), "--data", str(empty), "--out", str(out)],
+        "train": ["train", "--data", str(pipeline["randreq"]), str(empty), "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(args) == 2
+    _assert_one_line_error(capsys, f"{empty}: holds no samples")
     assert not out.exists()
 
 

@@ -134,7 +134,8 @@ def test_dataset_csv_roundtrip(tmp_path):
     loaded = Dataset.from_csv(path, seed=99)
     assert loaded.samples == ds.samples
     assert len(loaded) == 3
-    assert loaded.class_counts() == {Label.C2: 2, Label.NON_C2: 1}
+    assert [s.label for s in loaded.samples].count(Label.C2) == 2
+    assert [s.label for s in loaded.samples].count(Label.NON_C2) == 1
 
 
 def test_dataset_csv_rejects_wrong_header(tmp_path):
@@ -172,13 +173,6 @@ def test_dataset_csv_row_errors_name_file_and_line(tmp_path, column, value, frag
     with pytest.raises(ValueError, match=fragment) as info:
         Dataset.from_csv(path)
     assert str(info.value).startswith(f"{path}:3: ")
-
-
-def test_dataset_only_filters_by_label():
-    ds = Dataset(
-        [_sample([100], Label.C2), _sample([200], Label.NON_C2, Provenance.WEB)], 0
-    )
-    assert [s.label for s in ds.only(Label.C2)] == [Label.C2]
 
 
 @pytest.mark.parametrize("value, low, high", [(True, 0, None), (2.0, 0, None), ("3", 0, None), (-1, 0, None), (5, 1, 4)])

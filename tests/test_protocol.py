@@ -17,6 +17,7 @@ from c2lab.protocol import (
 )
 from c2lab.sim import (
     Adversarial,
+    SessionScript,
     SimConfig,
     _schedule_plans,
     lockstep,
@@ -352,10 +353,12 @@ def test_lockstep_short_input_truncates_the_last_connection(plans, side, data):
     side=sides,
     seed=st.integers(0, 2**16),
     session_index=st.integers(0, 1000),
+    n_commands=st.integers(1, 3),
 )
-def test_simulated_session_sizes_are_the_lockstep_run_of_its_plans(library, side, seed, session_index):
+def test_simulated_session_sizes_are_the_lockstep_run_of_its_plans(library, side, seed, session_index, n_commands):
     cfg = SimConfig(mode=Adversarial(side, tuple(plan_from_adversarial(fv, side) for fv in library)), seed=seed)
-    sc = sample_script(substream(seed, "script"), n_commands=(1, 3))
+    full = sample_script(substream(seed, "script"))
+    sc = SessionScript(full.commands[:n_commands], full.gaps[:n_commands])
     result = simulate_session(sc, cfg, session_index)
     exchanges = [(kind, req.time, req.content, resp.time, resp.content) for c in result.conns for kind, req, resp in c.exchanges]
     plans = chain_plans(

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from c2lab.sizing import RECORD_HEADER_LEN, TlsSizeModel
+from c2lab.sizing import TlsSizeModel
 
 
 def test_known_framings():
@@ -16,11 +17,6 @@ def test_known_framings():
 def test_min_framed_size_is_empty_plaintext():
     m = TlsSizeModel()
     assert m.min_framed_size() == m.framed_size(0) == 16
-
-
-def test_wire_size_adds_header():
-    m = TlsSizeModel()
-    assert m.wire_size(283) == 304 + RECORD_HEADER_LEN
 
 
 def test_rejects_negative_plaintext():
@@ -80,3 +76,17 @@ def test_snap_rounds_to_nearest_block():
     assert m.snap(313.0) == 320
     assert m.snap(328.0) == 320
     assert m.snap(3.0) == 16
+
+
+@given(
+    st.lists(st.floats(min_value=-100.0, max_value=20000.0, allow_nan=False), min_size=1, max_size=40),
+    st.integers(min_value=0, max_value=64),
+    st.integers(min_value=1, max_value=64),
+)
+def test_snap_on_an_array_is_scalar_snap_per_element(xs, tag, block):
+    m = TlsSizeModel(tag_len=tag, block_len=block)
+    snapped = m.snap(np.array(xs))
+    assert snapped.tolist() == [m.snap(x) for x in xs]
+    # Python's round also takes a half block to the even count
+    assert snapped.tolist() == [max(round(x / block) * block, m.min_framed_size()) for x in xs]
+    assert all(m.on_grid(v) for v in snapped.tolist())
