@@ -3,7 +3,7 @@
 Frames are grouped into TCP connections, each direction is reassembled in
 sequence order, and TLS records are walked out of the byte stream. Only
 application-data records (content type 23) become RecordEvents; everything
-else contributes to wire accounting and counters.
+else is skipped, and its anomalies are counted.
 """
 
 from __future__ import annotations
@@ -12,11 +12,10 @@ import bisect
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .model import Direction, FlowTrace, RecordEvent
-from .wire import SYN, parse_frame, read_packets
+from .model import MAX_RECORD_SIZE, Direction, FlowTrace, RecordEvent
+from .sizing import RECORD_HEADER_LEN, TLS_APPDATA, TLS_CONTENT_TYPES
+from .wire import SYN, PcapFormatError, parse_frame, read_packets
 
-TLS_CONTENT_TYPES = frozenset({20, 21, 22, 23})
-TLS_APPDATA = 23
 TLS_MAX_RECORD_LEN = 2**14 + 2048
 
 Endpoint = tuple[str, int]
@@ -59,7 +58,6 @@ class SegmentRecord:
     seq: int
     flags: int
     payload: bytes
-    frame_len: int
 
 
 def read_pcap(path: str | Path) -> tuple[list[SegmentRecord], ExtractionCounters]:
@@ -88,7 +86,6 @@ def read_pcap(path: str | Path) -> tuple[list[SegmentRecord], ExtractionCounters
                 seq=parsed.seq,
                 flags=parsed.flags,
                 payload=parsed.payload,
-                frame_len=len(frame),
             )
         )
     return segments, counters
@@ -171,13 +168,13 @@ def parse_tls_records(stream: _DirectionStream, counters: ExtractionCounters) ->
     data = stream.data
     records: list[TlsRecordInfo] = []
     pos = 0
-    while pos + 5 <= len(data):
+    while pos + RECORD_HEADER_LEN <= len(data):
         ctype = data[pos]
         length = (data[pos + 3] << 8) | data[pos + 4]
         if ctype not in TLS_CONTENT_TYPES or length > TLS_MAX_RECORD_LEN:
             counters.tls_parse_errors += 1
             break
-        end = pos + 5 + length
+        end = pos + RECORD_HEADER_LEN + length
         if end > len(data):
             counters.incomplete_records += 1
             break
@@ -212,6 +209,7 @@ def traces_from_pcap(path: str | Path) -> tuple[list[FlowTrace], ExtractionCount
         if client is None:
             client = segs[0].src
         server = key.b if client == key.a else key.a
+        conn_id = f"{client[0]}:{client[1]}-{server[0]}:{server[1]}"
 
         merged: list[tuple[float, int, Direction, int]] = []
         for endpoint, direction in (
@@ -221,27 +219,18 @@ def traces_from_pcap(path: str | Path) -> tuple[list[FlowTrace], ExtractionCount
             own = [s for s in segs if s.src == endpoint]
             stream = reassemble(own, counters)
             for rec in parse_tls_records(stream, counters):
-                if rec.content_type == TLS_APPDATA:
-                    merged.append((rec.timestamp, rec.completing_index, direction, rec.size))
+                if rec.content_type != TLS_APPDATA:
+                    continue
+                # the walker admits TLS 1.2 CBC expansion, past what a feature can hold
+                if rec.size > MAX_RECORD_SIZE:
+                    raise PcapFormatError(
+                        f"connection {conn_id}: application-data record of {rec.size} bytes exceeds {MAX_RECORD_SIZE}"
+                    )
+                merged.append((rec.timestamp, rec.completing_index, direction, rec.size))
         if not merged:
             counters.flows_without_appdata += 1
             continue
         merged.sort(key=lambda item: (item[0], item[1]))
-
-        open_time = min(s.timestamp for s in segs)
-        close_time = max(s.timestamp for s in segs)
-        total_wire = sum(s.frame_len for s in segs)
-        records = tuple(
-            RecordEvent(timestamp=ts, direction=direction, size=size)
-            for ts, _idx, direction, size in merged
-        )
-        traces.append(
-            FlowTrace(
-                connection_id=f"{client[0]}:{client[1]}-{server[0]}:{server[1]}",
-                records=records,
-                open_time=open_time,
-                close_time=close_time,
-                total_wire_bytes=total_wire,
-            )
-        )
+        records = tuple(RecordEvent(ts, direction, size) for ts, _idx, direction, size in merged)
+        traces.append(FlowTrace(conn_id, records))
     return traces, counters

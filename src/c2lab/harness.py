@@ -445,9 +445,7 @@ def run_overhead(
         for mode_name, mode in modes:
             cfg = replace(ec.sim, mode=mode, seed=run_seed)
             result = simulate_session(script, cfg, session_index=0)
-            conn_records = [
-                tuple((m.time, m.direction, m.size) for m in conn.records()) for conn in result.conns
-            ]
+            conn_records = result.conns
             appdata = [sum(r[2] for r in records) for records in conn_records]
             opens = [conn_open_close(records)[0] for records in conn_records]
             per_mode[mode_name] = {

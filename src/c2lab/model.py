@@ -89,28 +89,14 @@ class RecordEvent:
 
 @dataclass(frozen=True)
 class FlowTrace:
-    """All application-data records of one TCP connection, in order.
-
-    total_wire_bytes counts every link-layer byte of the connection,
-    handshakes and ACKs included, and is carried along for overhead
-    accounting.
-    """
+    """All application-data records of one TCP connection, in time order."""
 
     connection_id: str
     records: tuple[RecordEvent, ...]
-    open_time: float
-    close_time: float
-    total_wire_bytes: int
 
     def __post_init__(self) -> None:
-        if self.close_time < self.open_time:
-            raise ValueError("close_time precedes open_time")
-        if self.total_wire_bytes < 0:
-            raise ValueError("negative total_wire_bytes")
         prev = None
         for rec in self.records:
-            if rec.timestamp < self.open_time or rec.timestamp > self.close_time:
-                raise ValueError("record timestamp outside connection lifetime")
             if prev is not None and rec.timestamp < prev:
                 raise ValueError("record timestamps not monotonic")
             prev = rec.timestamp

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .adversarial import StuffSide, StuffingPlan, stuff_amount
+from .model import Direction
 from .sizing import TlsSizeModel
 
 CRLF = b"\r\n"
@@ -160,8 +161,7 @@ def framework_step(
     close = state.exchange_index == plan.n_exchanges - 1
 
     headers = [codec.make_conn_state(close)]
-    sends_payload_targets = state.side in (StuffSide.PAYLOAD_ONLY, StuffSide.TWO_SIDE)
-    if sends_payload_targets:
+    if state.side.covers(Direction.PAYLOAD_TO_FRAMEWORK):
         if close:
             next_target = plan.first_size_next_conn
         else:
@@ -174,7 +174,7 @@ def framework_step(
     control_len = sum(codec.encoded_len(h) for h in headers if h.kind is HeaderKind.NEXT_SIZE)
     framed = size_model.framed_size(content_plaintext + control_len)
     stuffing = 0
-    if state.side in (StuffSide.FRAMEWORK_ONLY, StuffSide.TWO_SIDE):
+    if state.side.covers(Direction.FRAMEWORK_TO_PAYLOAD):
         own_target = plan.target_at(2 * state.exchange_index + 1)
         if own_target is not None:
             stuffing = stuff_amount(own_target, framed)

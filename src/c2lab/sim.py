@@ -10,9 +10,11 @@ never the workflow, so a reshaped run keeps the exact timing of its regular
 twin. Benign browsing flows come from a separate generator with heavy-tailed
 record sizes.
 
-The same frame plan (handshake, MSS-sized data segments, teardown) backs
-both the per-connection wire-byte accounting and the pcap emitter, so totals
-computed here always match what a parser recovers from the file.
+A connection is a tuple of (time, direction, size) records from the
+session to the dataset. conn_frame_plan lays out its frames (handshake,
+MSS-sized data segments, teardown) and emit_pcap writes exactly those;
+conn_wire_bytes is the closed form of the plan's byte total, and a test
+checks that the two agree.
 """
 
 from __future__ import annotations
@@ -38,14 +40,14 @@ from .protocol import (
     framework_step,
     payload_step,
 )
-from .sizing import RECORD_HEADER_LEN, TlsSizeModel
+from .sizing import RECORD_HEADER_LEN, TLS_APPDATA, TLS_HANDSHAKE, TlsSizeModel
 from .wire import ACK, FIN, FRAME_OVERHEAD, PSH, SYN, PcapWriter, build_frame
 
 HANDSHAKE_LEAD = 0.005  # seconds between SYN and the first record
 FIN_TRAIL = 0.0015
 
-_TLS_HANDSHAKE = 22
-_TLS_APPDATA = 23
+# One TLS application-data record: (time, sending endpoint, length field).
+Record = tuple[float, Direction, int]
 
 
 def substream(seed: int, *labels) -> np.random.Generator:
@@ -251,35 +253,14 @@ class SimConfig:
                 raise ValueError(f"{name} must be >= {jitter} ({bound}), got {value!r}")
 
 
-@dataclass(frozen=True)
-class Msg:
-    time: float
-    direction: Direction
-    content: int  # plaintext bytes before stuffing
-    stuffing: int
-    size: int  # record length field on the wire
-
-
-@dataclass(frozen=True)
-class Conn:
-    exchanges: tuple[tuple[str, Msg, Msg], ...]
-
-    def records(self) -> list[Msg]:
-        out = []
-        for _kind, req, resp in self.exchanges:
-            out.append(req)
-            out.append(resp)
-        return out
-
-
 @dataclass
 class SessionResult:
-    conns: list[Conn]
+    conns: list[tuple[Record, ...]]  # each a request, response, request, ... run
     runtime: float
     missing_next_size: int = 0
 
     def n_exchanges(self) -> int:
-        return sum(len(c.exchanges) for c in self.conns)
+        return sum(len(c) for c in self.conns) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -354,21 +335,16 @@ def simulate_session(script: SessionScript, cfg: SimConfig, session_index: int =
             return int(stuff_rng.integers(STUFF_RAND_BYTES[0], STUFF_RAND_BYTES[1] + 1))
         return 0
 
-    exchanges = []
-    for kind, t_req, req_pt, t_resp, resp_pt in events:
+    records: list[Record] = []
+    for _kind, t_req, req_pt, t_resp, resp_pt in events:
         s_req, s_resp = stuffing(), stuffing()
-        exchanges.append(
-            (
-                kind,
-                Msg(round(t_req, 6), Direction.PAYLOAD_TO_FRAMEWORK, req_pt, s_req, frame(req_pt + s_req)),
-                Msg(t_resp, Direction.FRAMEWORK_TO_PAYLOAD, resp_pt, s_resp, frame(resp_pt + s_resp)),
-            )
-        )
+        records.append((round(t_req, 6), Direction.PAYLOAD_TO_FRAMEWORK, frame(req_pt + s_req)))
+        records.append((t_resp, Direction.FRAMEWORK_TO_PAYLOAD, frame(resp_pt + s_resp)))
 
     conns = []
     cursor = 0
-    for take in _group_sizes(mode, len(exchanges), group_rng):
-        conns.append(Conn(tuple(exchanges[cursor : cursor + take])))
+    for take in _group_sizes(mode, len(events), group_rng):
+        conns.append(tuple(records[2 * cursor : 2 * (cursor + take)]))
         cursor += take
     return SessionResult(conns, runtime)
 
@@ -454,7 +430,7 @@ def lockstep(
     """
     # Steady-state assumption: the implant already holds the first request's
     # target, carried over from before this session.
-    seeds_payload = plans and side in (StuffSide.PAYLOAD_ONLY, StuffSide.TWO_SIDE)
+    seeds_payload = plans and side.covers(Direction.PAYLOAD_TO_FRAMEWORK)
     payload = PayloadSession(pending_next_size=plans[0].target_at(0) if seeds_payload else None)
     last_headers = None
     pairs = iter(exchanges)
@@ -492,23 +468,18 @@ def run_lockstep(
     return connections, closes
 
 
-def _adversarial_session(events: list[tuple], cfg: SimConfig, session_index: int) -> tuple[list[Conn], int]:
+def _adversarial_session(events: list[tuple], cfg: SimConfig, session_index: int) -> tuple[list[tuple[Record, ...]], int]:
     mode = cfg.mode
     plan_rng = substream(cfg.seed, "plans", session_index)
     plans = chain_plans(_schedule_plans(events, mode, plan_rng, cfg.size_model.framed_size))
     steps = lockstep(plans, mode.side, ((ev[2], ev[4]) for ev in events), cfg.codec, cfg.size_model)
-    groups: list[list[tuple[str, Msg, Msg]]] = []
-    for (kind, t_req, req_pt, t_resp, resp_pt), (i, action, reply) in zip(events, steps):
+    groups: list[list[Record]] = []
+    for (_kind, t_req, _req_pt, t_resp, _resp_pt), (i, action, reply) in zip(events, steps):
         if i == len(groups):
             groups.append([])
-        groups[i].append(
-            (
-                kind,
-                Msg(round(t_req, 6), Direction.PAYLOAD_TO_FRAMEWORK, req_pt, action.stuffing, action.realized_size),
-                Msg(t_resp, Direction.FRAMEWORK_TO_PAYLOAD, resp_pt, reply.stuffing, reply.realized_size),
-            )
-        )
-    return [Conn(tuple(g)) for g in groups], action.state.missing_next_size
+        groups[i].append((round(t_req, 6), Direction.PAYLOAD_TO_FRAMEWORK, action.realized_size))
+        groups[i].append((t_resp, Direction.FRAMEWORK_TO_PAYLOAD, reply.realized_size))
+    return [tuple(g) for g in groups], action.state.missing_next_size
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +543,7 @@ class FrameSpec:
     record: tuple[int, int, int, int] | None
 
 
-def conn_frame_plan(records: Sequence[tuple[float, Direction, int]], cfg: SimConfig) -> list[FrameSpec]:
+def conn_frame_plan(records: Sequence[Record], cfg: SimConfig) -> list[FrameSpec]:
     if not records:
         raise ValueError("a connection must carry records")
     t0 = round(records[0][0] - HANDSHAKE_LEAD, 6)
@@ -584,20 +555,20 @@ def conn_frame_plan(records: Sequence[tuple[float, Direction, int]], cfg: SimCon
     ):
         offset = 0
         for chunk in _record_chunks(RECORD_HEADER_LEN + rec_len, cfg.mss):
-            plan.append(FrameSpec(ts, from_client, PSH | ACK, (_TLS_HANDSHAKE, rec_len, offset, chunk)))
+            plan.append(FrameSpec(ts, from_client, PSH | ACK, (TLS_HANDSHAKE, rec_len, offset, chunk)))
             offset += chunk
     for ts, direction, size in records:
         from_client = direction is Direction.PAYLOAD_TO_FRAMEWORK
         offset = 0
         for chunk in _record_chunks(RECORD_HEADER_LEN + size, cfg.mss):
-            plan.append(FrameSpec(round(ts, 6), from_client, PSH | ACK, (_TLS_APPDATA, size, offset, chunk)))
+            plan.append(FrameSpec(round(ts, 6), from_client, PSH | ACK, (TLS_APPDATA, size, offset, chunk)))
             offset += chunk
     t_end = records[-1][0]
     plan.extend(FrameSpec(round(t_end + dt, 6), from_client, flags, None) for dt, from_client, flags in _TCP_CLOSE)
     return plan
 
 
-def conn_wire_bytes(records: Sequence[tuple[float, Direction, int]], cfg: SimConfig) -> int:
+def conn_wire_bytes(records: Sequence[Record], cfg: SimConfig) -> int:
     """Wire bytes of conn_frame_plan(records, cfg), without building its frames."""
     if not records:
         raise ValueError("a connection must carry records")
@@ -607,7 +578,7 @@ def conn_wire_bytes(records: Sequence[tuple[float, Direction, int]], cfg: SimCon
     return total
 
 
-def conn_open_close(records: Sequence[tuple[float, Direction, int]]) -> tuple[float, float]:
+def conn_open_close(records: Sequence[Record]) -> tuple[float, float]:
     return round(records[0][0] - HANDSHAKE_LEAD, 6), round(records[-1][0] + FIN_TRAIL, 6)
 
 
@@ -619,20 +590,13 @@ class GeneratedFlows:
     """Aligned traces and raw per-connection records, ready for emission."""
 
     traces: list[FlowTrace]
-    conn_records: list[tuple[tuple[float, Direction, int], ...]]
+    conn_records: list[tuple[Record, ...]]
     sessions: int = 0
     missing_next_size: int = 0
 
 
-def _conn_to_trace(records: Sequence[tuple[float, Direction, int]], cfg: SimConfig, conn_id: str) -> FlowTrace:
-    open_t, close_t = conn_open_close(records)
-    return FlowTrace(
-        connection_id=conn_id,
-        records=tuple(RecordEvent(ts, d, size) for ts, d, size in records),
-        open_time=open_t,
-        close_time=close_t,
-        total_wire_bytes=conn_wire_bytes(records, cfg),
-    )
+def _conn_to_trace(records: Sequence[Record], conn_id: str) -> FlowTrace:
+    return FlowTrace(conn_id, tuple(RecordEvent(ts, d, size) for ts, d, size in records))
 
 
 def generate_c2_traces(n_flows: int, cfg: SimConfig) -> GeneratedFlows:
@@ -649,9 +613,9 @@ def generate_c2_traces(n_flows: int, cfg: SimConfig) -> GeneratedFlows:
         for conn in result.conns:
             if len(out.traces) >= n_flows:
                 break
-            records = tuple((round(m.time + cursor, 6), m.direction, m.size) for m in conn.records())
+            records = tuple((round(t + cursor, 6), d, size) for t, d, size in conn)
             out.conn_records.append(records)
-            out.traces.append(_conn_to_trace(records, cfg, f"c2-{session}-{len(out.traces)}"))
+            out.traces.append(_conn_to_trace(records, f"c2-{session}-{len(out.traces)}"))
         cursor = round(cursor + result.runtime + 1.0, 6)
         session += 1
         out.sessions = session
@@ -697,9 +661,9 @@ class WebConfig:
             raise ValueError("upload_prob + poll_prob must be <= 1")
 
 
-def _upload_records(rng: np.random.Generator, web: WebConfig, t: float) -> list[tuple[float, Direction, int]]:
+def _upload_records(rng: np.random.Generator, web: WebConfig, t: float) -> list[Record]:
     # multipart/chunked POST rounds: big client body, short server ack
-    records: list[tuple[float, Direction, int]] = []
+    records: list[Record] = []
     rounds = min(1 + int(rng.geometric(0.6)), 4)
     for _ in range(rounds):
         body = int(np.clip(round(rng.lognormal(web.upload_mu, web.upload_sigma)), 256, 16408))
@@ -711,9 +675,9 @@ def _upload_records(rng: np.random.Generator, web: WebConfig, t: float) -> list[
     return records
 
 
-def _api_poll_records(rng: np.random.Generator, web: WebConfig, t: float) -> list[tuple[float, Direction, int]]:
+def _api_poll_records(rng: np.random.Generator, web: WebConfig, t: float) -> list[Record]:
     # XHR/API polling: byte-identical requests, responses vary per poll
-    records: list[tuple[float, Direction, int]] = []
+    records: list[Record] = []
     rounds = min(2 + int(rng.geometric(0.45)), 9)
     req = int(np.clip(round(rng.lognormal(web.poll_req_mu, web.poll_req_sigma)), 120, 2048))
     steady = rng.random() < 0.35  # cache hits: the answer barely changes
@@ -766,7 +730,7 @@ def generate_web_traces(n_flows: int, cfg: SimConfig, web: WebConfig | None = No
                     records.append((round(t, 6), Direction.PAYLOAD_TO_FRAMEWORK, size))
         recs = tuple(records)
         out.conn_records.append(recs)
-        out.traces.append(_conn_to_trace(recs, cfg, f"web-{i}"))
+        out.traces.append(_conn_to_trace(recs, f"web-{i}"))
         cursor = round(records[-1][0] + web.flow_spacing, 6)
     return out
 
@@ -776,7 +740,7 @@ def generate_web_traces(n_flows: int, cfg: SimConfig, web: WebConfig | None = No
 
 def emit_pcap(
     path: str | Path,
-    conn_records: Sequence[Sequence[tuple[float, Direction, int]]],
+    conn_records: Sequence[Sequence[Record]],
     cfg: SimConfig,
     seed: int = 0,
 ) -> None:

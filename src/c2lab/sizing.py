@@ -2,8 +2,9 @@
 
 The cipher model is block-aligned AEAD: a plaintext of p bytes becomes a
 ciphertext of ceil((p + tag) / block) * block bytes, which is what the
-record's length field advertises. The 5-byte record header sits outside the
-length field and only matters for wire accounting.
+record's length field advertises. The 5-byte record header (content type,
+version, length) sits outside the length field; it matters for wire
+accounting and for walking records out of a byte stream.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 RECORD_HEADER_LEN = 5
+# TLS record content types: change_cipher_spec, alert, handshake, application_data
+TLS_HANDSHAKE = 22
+TLS_APPDATA = 23
+TLS_CONTENT_TYPES = frozenset({20, 21, TLS_HANDSHAKE, TLS_APPDATA})
 
 
 @dataclass(frozen=True)

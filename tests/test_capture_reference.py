@@ -195,7 +195,6 @@ def reference_read_pcap(path):
                 seq=parsed.seq,
                 flags=parsed.flags,
                 payload=parsed.payload,
-                frame_len=len(frame),
             )
         )
     return segments, counters

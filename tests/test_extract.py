@@ -1,5 +1,9 @@
 """Reassembly and TLS record walking against hand-built segment streams."""
 
+import re
+from collections import Counter
+
+import pytest
 from hypothesis import given, strategies as st
 
 from c2lab.extract import (
@@ -12,7 +16,7 @@ from c2lab.extract import (
 )
 from c2lab.model import Direction
 from c2lab.sim import SimConfig, conn_wire_bytes, emit_pcap, generate_c2_traces, generate_web_traces
-from c2lab.wire import ACK, PSH, SYN
+from c2lab.wire import ACK, PSH, SYN, PcapFormatError, parse_frame, read_packets
 
 CLIENT = ("10.0.0.1", 40001)
 SERVER = ("10.8.0.2", 443)
@@ -22,7 +26,7 @@ KEY = TcpStreamKey.from_endpoints(CLIENT, SERVER)
 def seg(seq, payload, ts=0.0, idx=0, flags=PSH | ACK):
     return SegmentRecord(
         index=idx, timestamp=ts, key=KEY, src=CLIENT, seq=seq, flags=flags,
-        payload=payload, frame_len=54 + len(payload),
+        payload=payload,
     )
 
 
@@ -149,8 +153,12 @@ def test_zero_length_record_skipped():
 # whole-capture round trips against the generator's own plan
 
 
+def _client(idx):
+    return (f"10.0.{idx // 20000}.1", 40000 + idx % 20000)
+
+
 def _conn_id(idx):
-    return f"10.0.{idx // 20000}.1:{40000 + idx % 20000}-10.8.0.2:443"
+    return "{}:{}-{}:{}".format(*_client(idx), *SERVER)
 
 
 def test_capture_roundtrip_c2_and_web(tmp_path):
@@ -167,14 +175,20 @@ def test_capture_roundtrip_c2_and_web(tmp_path):
     assert counters.incomplete_records == 0
     assert len(traces) == len(planned)
 
+    wire_bytes = Counter()
+    for _ts, frame in read_packets(path):
+        parsed = parse_frame(frame)
+        src, dst = (parsed.src_ip, parsed.src_port), (parsed.dst_ip, parsed.dst_port)
+        wire_bytes[dst if src == SERVER else src] += len(frame)
+
     by_id = {t.connection_id: t for t in traces}
     for idx, records in enumerate(planned):
         got = by_id[_conn_id(idx)]
         assert [(r.direction, r.size) for r in got.records] == [
             (direction, size) for _ts, direction, size in records
         ]
-        # the emitter promises the same frames the accounting charged for
-        assert got.total_wire_bytes == conn_wire_bytes(records, cfg)
+        # the emitter writes exactly the bytes the accounting charged
+        assert wire_bytes[_client(idx)] == conn_wire_bytes(records, cfg)
 
 
 def test_capture_roundtrip_mss_split_record(tmp_path):
@@ -190,3 +204,16 @@ def test_capture_roundtrip_mss_split_record(tmp_path):
     assert len(traces) == 1
     assert [r.size for r in traces[0].records] == [304, 16408, 5000]
     assert counters.incomplete_records == 0
+
+
+def test_oversize_appdata_record_names_its_connection(tmp_path):
+    # a TLS 1.2 CBC record can legally reach about 16460 bytes, which the
+    # record walker admits but a feature vector cannot hold
+    records = (
+        (1.0, Direction.PAYLOAD_TO_FRAMEWORK, 304),
+        (1.1, Direction.FRAMEWORK_TO_PAYLOAD, 16464),
+    )
+    path = tmp_path / "oversize.pcap"
+    emit_pcap(path, [records], SimConfig(seed=8), seed=1)
+    with pytest.raises(PcapFormatError, match=re.escape(f"connection {_conn_id(0)}") + ".* 16464 bytes"):
+        traces_from_pcap(path)

@@ -20,6 +20,7 @@ from c2lab.sim import (
     SessionScript,
     SimConfig,
     _schedule_plans,
+    _workflow,
     lockstep,
     run_lockstep,
     sample_script,
@@ -360,9 +361,15 @@ def test_simulated_session_sizes_are_the_lockstep_run_of_its_plans(library, side
     full = sample_script(substream(seed, "script"))
     sc = SessionScript(full.commands[:n_commands], full.gaps[:n_commands])
     result = simulate_session(sc, cfg, session_index)
-    exchanges = [(kind, req.time, req.content, resp.time, resp.content) for c in result.conns for kind, req, resp in c.exchanges]
+    # the session's workflow, rebuilt from its own jitter draws
+    jit = substream(seed, "jitter", session_index)
+    jit_p = int(jit.integers(-cfg.url_jitter, cfg.url_jitter + 1))
+    jit_f = int(jit.integers(-cfg.response_jitter, cfg.response_jitter + 1))
+    exchanges = _workflow(sc, cfg, jit_p, jit_f)
     plans = chain_plans(
         _schedule_plans(exchanges, cfg.mode, substream(seed, "plans", session_index), cfg.size_model.framed_size)
     )
     conns, _ = run_lockstep(plans, [ev[2] for ev in exchanges], [ev[4] for ev in exchanges], side, cfg.codec, cfg.size_model)
-    assert conns == [[m.size for m in c.records()] for c in result.conns]
+    assert conns == [[size for *_, size in c] for c in result.conns]
+    times = [(round(ev[1], 6), ev[3]) for ev in exchanges]
+    assert [t for c in result.conns for t, *_ in c] == [t for pair in times for t in pair]

@@ -17,6 +17,7 @@ from c2lab.sim import (
     _schedule_plans,
     _workflow,
     conn_frame_plan,
+    conn_open_close,
     conn_wire_bytes,
     generate_c2_traces,
     generate_web_traces,
@@ -34,6 +35,27 @@ CFG = SimConfig(seed=11)
 def script(*cmds, gap=0.5):
     commands = tuple(Command(f"c{i}", req, resp) for i, (req, resp) in enumerate(cmds))
     return SessionScript(commands, (gap,) * len(commands))
+
+
+def plaintexts(sc, cfg, session_index=0):
+    """Plaintext bytes of each message of a session, in order, from its jitter draws."""
+    jit = substream(cfg.seed, "jitter", session_index)
+    jit_p = int(jit.integers(-cfg.url_jitter, cfg.url_jitter + 1))
+    jit_f = int(jit.integers(-cfg.response_jitter, cfg.response_jitter + 1))
+    return [pt for ev in _workflow(sc, cfg, jit_p, jit_f) for pt in (ev[2], ev[4])]
+
+
+def rand_fillers(seed, n, session_index=0):
+    """The stuffRand filler of each of a session's first n messages."""
+    stuff = substream(seed, "stuff", session_index)
+    return [int(stuff.integers(1, 1401)) for _ in range(n)]
+
+
+def flat(result):
+    return [rec for conn in result.conns for rec in conn]
+
+
+REQ_RESP = [Direction.PAYLOAD_TO_FRAMEWORK, Direction.FRAMEWORK_TO_PAYLOAD]
 
 
 def test_poll_backoff_doubles_then_saturates():
@@ -59,18 +81,16 @@ def test_poll_interval_resets_after_serving():
 
 def test_regular_mode_one_exchange_per_connection():
     result = simulate_session(script((60, 300), (70, 2000)), CFG)
-    assert all(len(c.exchanges) == 1 for c in result.conns)
     for conn in result.conns:
-        sizes = [m.size for m in conn.records()]
-        assert len(sizes) == 2
+        assert [d for _t, d, _size in conn] == REQ_RESP
+    assert result.n_exchanges() == len(result.conns)
 
 
 def test_fixed_grouping_three_requests_six_records():
     sc = script((60, 300), (70, 2000), (50, 400))
     cfg = SimConfig(mode=Provenance.FIXED3_REQ, seed=11)
     result = simulate_session(sc, cfg)
-    assert len(result.conns[0].exchanges) == 3
-    assert len(result.conns[0].records()) == 6
+    assert [d for _t, d, _size in result.conns[0]] == REQ_RESP * 3
 
 
 def test_rand_grouping_sizes_within_bounds():
@@ -113,32 +133,41 @@ def test_fixed_stuffing_inflates_every_record():
     plain = simulate_session(sc, SimConfig(seed=11))
     stuffed = simulate_session(sc, SimConfig(mode=Provenance.STUFF50, seed=11))
     frame = CFG.size_model.framed_size
-    for p, s in zip(plain.conns[0].records(), stuffed.conns[0].records()):
-        assert s.stuffing == 50
-        assert s.size == frame(p.content + 50)
+    content = plaintexts(sc, SimConfig(seed=11))
+    assert [size for *_, size in flat(plain)] == [frame(pt) for pt in content]
+    assert [size for *_, size in flat(stuffed)] == [frame(pt + 50) for pt in content]
 
 
 def test_random_stuffing_bounded():
     sc = script((60, 300), (80, 5000))
-    result = simulate_session(sc, SimConfig(mode=Provenance.STUFF_RAND, seed=4))
-    for conn in result.conns:
-        for m in conn.records():
-            assert 1 <= m.stuffing <= 1400
-            assert m.size <= MAX_RECORD_SIZE
+    cfg = SimConfig(mode=Provenance.STUFF_RAND, seed=4)
+    result = simulate_session(sc, cfg)
+    content = plaintexts(sc, cfg)
+    fillers = rand_fillers(4, len(content))
+    assert all(1 <= f <= 1400 for f in fillers)
+    sizes = [size for *_, size in flat(result)]
+    assert sizes == [cfg.size_model.framed_size(pt + f) for pt, f in zip(content, fillers)]
+    assert max(sizes) <= MAX_RECORD_SIZE
 
 
 def test_reshaping_preserves_the_workflow():
     sc = script((60, 300), (70, 2000), (55, 800))
-    runs = [
-        simulate_session(sc, SimConfig(mode=mode, seed=11))
-        for mode in (Provenance.REGULAR, Provenance.STUFF50, Provenance.STUFF_RAND, Provenance.FIXED3_REQ)
-    ]
-    skeletons = [
-        [(m.time, m.direction, m.content) for c in r.conns for m in c.records()]
-        for r in runs
-    ]
+    content = plaintexts(sc, CFG)
+    n = len(content)
+    fillers = {
+        Provenance.REGULAR: [0] * n,
+        Provenance.STUFF50: [50] * n,
+        Provenance.STUFF_RAND: rand_fillers(11, n),
+        Provenance.FIXED3_REQ: [0] * n,
+    }
+    runs = [simulate_session(sc, SimConfig(mode=mode, seed=11)) for mode in fillers]
+    skeletons = [[(t, d) for t, d, _size in flat(r)] for r in runs]
     assert all(s == skeletons[0] for s in skeletons[1:])
     assert len({r.runtime for r in runs}) == 1
+    # every mode frames the same plaintexts, plus only its own filler
+    frame = CFG.size_model.framed_size
+    for r, filler in zip(runs, fillers.values()):
+        assert [size for *_, size in flat(r)] == [frame(pt + f) for pt, f in zip(content, filler)]
 
 
 def test_session_determinism():
@@ -155,7 +184,7 @@ def test_generate_c2_traces_counts_and_clock():
     assert len(flows.traces) == 17
     assert len(flows.conn_records) == 17
     assert flows.sessions >= 1
-    opens = [t.open_time for t in flows.traces]
+    opens = [conn_open_close(records)[0] for records in flows.conn_records]
     assert opens == sorted(opens)
     assert opens[0] > 0
 
@@ -212,23 +241,48 @@ def test_adversarial_session_realizes_targets():
     frame = cfg.size_model.framed_size
     assert result.missing_next_size == 0
     for conn in result.conns:
-        assert len(conn.exchanges) >= 2  # no orphan connections
-        for _kind, req, resp in conn.exchanges:
+        assert [d for _t, d, _size in conn] == REQ_RESP * (len(conn) // 2)
+        assert len(conn) >= 4  # no orphan connections
+    content = plaintexts(sc, cfg)
+    assert len(flat(result)) == len(content)
+    for (_t, direction, size), pt in zip(flat(result), content):
+        if direction is Direction.PAYLOAD_TO_FRAMEWORK:
             # targets bind unless content already overflows them
-            assert req.size == max(640, frame(req.content))
-            assert resp.size >= 480
+            assert size == max(640, frame(pt))
+        else:
+            assert size >= 480
 
     # grouping follows plan lengths, timing is untouched
     plain = simulate_session(sc, SimConfig(seed=13))
     assert result.runtime == plain.runtime
-    flat_adv = [m.time for c in result.conns for m in c.records()]
-    flat_plain = [m.time for c in plain.conns for m in c.records()]
-    assert flat_adv == flat_plain
+    assert [t for t, *_ in flat(result)] == [t for t, *_ in flat(plain)]
 
 
 def test_adversarial_mode_needs_library():
     with pytest.raises(ValueError):
         Adversarial(StuffSide.TWO_SIDE, ())
+
+
+def _adversarial_flows(side):
+    library = tuple(_toy_plan(n, side) for n in (2, 4, 6, 8))
+    return lambda seed: generate_c2_traces(9, SimConfig(mode=Adversarial(side, library), seed=seed))
+
+
+FLOW_SOURCES = {
+    **{mode.value: (lambda seed, mode=mode: generate_c2_traces(9, SimConfig(mode=mode, seed=seed))) for mode in sim.NAIVE_MODES},
+    **{f"adv-{side.value}": _adversarial_flows(side) for side in StuffSide},
+    "web": lambda seed: generate_web_traces(9, SimConfig(seed=seed)),
+}
+
+
+@pytest.mark.parametrize("source", FLOW_SOURCES)
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_each_trace_carries_its_connection_records(source, seed):
+    flows = FLOW_SOURCES[source](seed)
+    assert len(flows.traces) == len(flows.conn_records) == 9
+    for trace, records in zip(flows.traces, flows.conn_records):
+        assert tuple((r.timestamp, r.direction, r.size) for r in trace.records) == records
 
 
 def test_substream_is_label_sensitive():

@@ -6,10 +6,14 @@ again, so renaming or moving a patched name breaks the suite rather than
 only a traced benchmark run.
 """
 
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
 import pytest
+
+import c2lab
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -24,7 +28,13 @@ def layers(monkeypatch):
 
 
 def _module_attrs():
-    """Identity snapshot of every c2lab module's namespace."""
+    """Identity snapshot of every c2lab module's namespace.
+
+    Every module is imported first: install imports the ones not yet loaded,
+    which would otherwise add modules, and package attributes, after the snapshot.
+    """
+    for info in pkgutil.iter_modules(c2lab.__path__):
+        importlib.import_module(f"c2lab.{info.name}")
     mods = [m for name, m in sys.modules.items() if name == "c2lab" or name.startswith("c2lab.")]
     return {(m.__name__, k): id(v) for m in mods for k, v in vars(m).items()}
 
