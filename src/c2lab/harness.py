@@ -4,13 +4,15 @@ Three stages: a baseline detector against naive reshaping, a reshaping-aware
 detector against gradient-guided stuffing, and wire-cost accounting of the
 winning configuration. Every stage draws its randomness from named
 substreams of one master seed, and every reported number can be recomputed
-from the files the run leaves behind.
+from the files the run leaves behind. The first two stages share nothing,
+so run_full_experiment runs them side by side in worker processes.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import sys
 import zlib
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -498,11 +500,73 @@ def run_overhead(
 # ---------------------------------------------------------------------------
 # whole experiment
 
+# Each stage trains its own detector from its own seed substreams and shares
+# no state with the other, so the two run side by side in worker processes. A
+# worker gets one BLAS thread: OpenBLAS threads spin-wait between matmuls and
+# would take the core the other stage trains on.
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+
+def _stage_workers() -> int:
+    """One worker per threat-model stage, and no more than the cores this process may use."""
+    return min(2, len(os.sched_getaffinity(0)))
+
+
+def _threat_model_1_task(ec: ExperimentConfig, out_dir: str | Path | None) -> tuple[Artifacts, dict]:
+    artifacts = Artifacts(out_dir)
+    report, _baseline = run_threat_model_1(ec, artifacts)
+    return artifacts, report
+
+
+def _threat_model_2_task(ec: ExperimentConfig, out_dir: str | Path | None) -> tuple[Artifacts, dict, list]:
+    artifacts = Artifacts(out_dir)
+    report, _aware, best_libs = run_threat_model_2(ec, artifacts)
+    return artifacts, report, best_libs[StuffSide.TWO_SIDE]
+
+
+def _run_threat_models(ec: ExperimentConfig, out_dir: str | Path | None) -> tuple[tuple, tuple]:
+    """Both threat-model stages on a spawn-context pool; the workers are gone on return.
+
+    A stage's exception is re-raised here with its type and message. A worker
+    that dies, say out of memory, raises BrokenProcessPool instead of hanging.
+    """
+    # imported here: multiprocessing would add to every command's start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    saved = {key: os.environ.get(key) for key in _WORKER_ENV}
+    os.environ.update(_WORKER_ENV)
+    pool = ProcessPoolExecutor(_stage_workers(), mp_context=multiprocessing.get_context("spawn"))
+    try:
+        try:
+            # a spawn-context pool starts its workers as tasks arrive
+            futures = [pool.submit(task, ec, out_dir) for task in (_threat_model_1_task, _threat_model_2_task)]
+        finally:
+            for key, value in saved.items():
+                if value is None:
+                    os.environ.pop(key, None)
+                else:
+                    os.environ[key] = value
+        for future in as_completed(futures):
+            future.result()  # the first stage to fail stops the other
+        tm1, tm2 = (future.result() for future in futures)
+    except BaseException:
+        # the executor has no public way to stop a running task before Python 3.14
+        for process in list(pool._processes.values()):
+            process.terminate()
+        pool.shutdown(wait=True, cancel_futures=True)
+        raise
+    pool.shutdown(wait=True)
+    return tm1, tm2
+
+
 def run_full_experiment(ec: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     artifacts = Artifacts(out_dir)
-    tm1, _baseline = run_threat_model_1(ec, artifacts)
-    tm2, _aware, best_libs = run_threat_model_2(ec, artifacts)
-    overhead = run_overhead(ec, best_libs[StuffSide.TWO_SIDE], artifacts)
+    (tm1_artifacts, tm1), (tm2_artifacts, tm2, two_side_library) = _run_threat_models(ec, out_dir)
+    for stage in (tm1_artifacts, tm2_artifacts):
+        artifacts.files += stage.files
+        artifacts.notes += stage.notes
+    overhead = run_overhead(ec, two_side_library, artifacts)
 
     report = {"config": ec.to_dict(), "threat_model_1": tm1, "threat_model_2": tm2}
     if overhead is not None:

@@ -738,6 +738,13 @@ def generate_web_traces(n_flows: int, cfg: SimConfig, web: WebConfig | None = No
 # ---------------------------------------------------------------------------
 # pcap emission
 
+MAX_HEADER_RECORD_LEN = 0xFFFF  # the TLS record header's length field is 16 bits
+
+
+class RecordTooLargeError(ValueError):
+    """A planned record longer than a TLS record header can state."""
+
+
 def emit_pcap(
     path: str | Path,
     conn_records: Sequence[Sequence[Record]],
@@ -747,7 +754,9 @@ def emit_pcap(
     """Write the planned connections as a capture file.
 
     Every frame the wire-byte accounting promised is emitted literally:
-    same chunk sizes, same overhead, ciphertext drawn from the seed.
+    same chunk sizes, same overhead, ciphertext drawn from the seed. A
+    record over MAX_HEADER_RECORD_LEN bytes raises RecordTooLargeError
+    naming its connection, and nothing is written.
     """
     rng = substream(seed, "ciphertext")
     entries: list[tuple[float, int, bytes]] = []
@@ -772,6 +781,11 @@ def emit_pcap(
             if spec.record is not None:
                 ctype, rec_len, offset, chunk = spec.record
                 if offset == 0:
+                    if rec_len > MAX_HEADER_RECORD_LEN:
+                        raise RecordTooLargeError(
+                            f"connection {idx} ({client[0]}:{client[1]}-{server[0]}:{server[1]}): record of "
+                            f"{rec_len} bytes exceeds the {MAX_HEADER_RECORD_LEN} a TLS record header can state"
+                        )
                     header = bytes([ctype, 3, 3, (rec_len >> 8) & 0xFF, rec_len & 0xFF])
                     current_blob = header + ciphertext[cipher_pos : cipher_pos + rec_len]
                     cipher_pos += 4 * ((rec_len + 3) // 4)

@@ -319,20 +319,40 @@ def test_report_config_replays_to_identical_artifacts(tmp_path):
         assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
 
 
-def test_report_is_byte_identical_across_blas_thread_counts(tmp_path):
-    # OpenBLAS reads its thread count once, at load, so each count needs its
-    # own interpreter; a split of the matmuls must not reach any artifact
+def _run_cli_at_blas_threads(threads, argv):
+    """c2lab in a fresh interpreter: OpenBLAS reads its thread count once, at load."""
     src = str(Path(c2lab.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    subprocess.run([sys.executable, "-m", "c2lab.cli", *argv], env=env, check=True, capture_output=True, timeout=600)
+
+
+def test_report_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # a split of the matmuls must not reach any artifact
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        argv = [sys.executable, "-m", "c2lab.cli", "report", "--scale", "tiny", "--seed", "7", "--out", str(out)]
-        subprocess.run(argv, env=env, check=True, capture_output=True, timeout=600)
+        _run_cli_at_blas_threads(threads, ["report", "--scale", "tiny", "--seed", "7", "--out", str(out)])
         outs.append(out)
     files = json.loads((outs[0] / "manifest.json").read_text())["files"]
     assert any(f.endswith(".bin") for f in files)
     assert files == json.loads((outs[1] / "manifest.json").read_text())["files"]
     for rel in files + ["manifest.json"]:
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
+
+def test_train_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # report trains in one-BLAS-thread workers; train runs in the command's own
+    # process, at whatever thread count OpenBLAS was started with
+    reg, web = tmp_path / "reg.csv", tmp_path / "web.csv"
+    main(["gen", "--mode", "regular", "--n", "200", "--seed", "4", "--out", str(reg)])
+    main(["gen", "--mode", "web", "--n", "200", "--seed", "4", "--out", str(web)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"max_epochs": 2}}))  # default layer sizes: matmuls big enough to split
+    models = []
+    for threads in ("1", "2"):
+        model = tmp_path / f"threads-{threads}.bin"
+        argv = ["train", "--data", str(reg), str(web), "--seed", "4", "--config", str(cfg), "--out", str(model)]
+        _run_cli_at_blas_threads(threads, argv)
+        models.append(model.read_bytes())
+    assert models[0] == models[1]

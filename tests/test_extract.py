@@ -15,7 +15,14 @@ from c2lab.extract import (
     traces_from_pcap,
 )
 from c2lab.model import Direction
-from c2lab.sim import SimConfig, conn_wire_bytes, emit_pcap, generate_c2_traces, generate_web_traces
+from c2lab.sim import (
+    RecordTooLargeError,
+    SimConfig,
+    conn_wire_bytes,
+    emit_pcap,
+    generate_c2_traces,
+    generate_web_traces,
+)
 from c2lab.wire import ACK, PSH, SYN, PcapFormatError, parse_frame, read_packets
 
 CLIENT = ("10.0.0.1", 40001)
@@ -217,3 +224,15 @@ def test_oversize_appdata_record_names_its_connection(tmp_path):
     emit_pcap(path, [records], SimConfig(seed=8), seed=1)
     with pytest.raises(PcapFormatError, match=re.escape(f"connection {_conn_id(0)}") + ".* 16464 bytes"):
         traces_from_pcap(path)
+
+
+@pytest.mark.parametrize("size", [65_536, 70_000])
+def test_emit_refuses_a_record_its_length_field_cannot_state(tmp_path, size):
+    # the header's 16-bit length would wrap, and the capture would read back
+    # as different records
+    ok = ((1.0, Direction.PAYLOAD_TO_FRAMEWORK, 304), (1.1, Direction.FRAMEWORK_TO_PAYLOAD, 65_535))
+    big = ((2.0, Direction.PAYLOAD_TO_FRAMEWORK, 304), (2.1, Direction.FRAMEWORK_TO_PAYLOAD, size))
+    path = tmp_path / "wrap.pcap"
+    with pytest.raises(RecordTooLargeError, match=re.escape(f"connection 1 ({_conn_id(1)})") + f".* {size} bytes"):
+        emit_pcap(path, [ok, big], SimConfig(seed=8), seed=1)
+    assert not path.exists()

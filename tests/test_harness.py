@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 import re
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from c2lab import detector as det
+from c2lab import harness
 from c2lab.adversarial import StuffSide, plan_from_adversarial
 from c2lab.harness import (
     MODE_PROVENANCES,
@@ -21,6 +24,7 @@ from c2lab.harness import (
     build_dataset,
     mode_for,
     report_bytes,
+    run_full_experiment,
     run_overhead,
     seed_for,
 )
@@ -429,3 +433,42 @@ def test_run_overhead_zero_runs_notes_skip():
     art = Artifacts(None)
     assert run_overhead(ec, _toy_library(), art) is None
     assert any("skipped" in n for n in art.notes)
+
+
+# ---------------------------------------------------------------------------
+# whole experiment: both threat-model stages run in worker processes
+
+def test_report_is_byte_identical_at_one_and_two_stage_workers(tmp_path, monkeypatch):
+    ec = ExperimentConfig().scaled(0.02)
+    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    outs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(harness, "_stage_workers", lambda n=workers: n)
+        out = tmp_path / f"workers-{workers}"
+        run_full_experiment(ec, out)
+        assert multiprocessing.active_children() == []
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == blas_threads  # only the workers ran at one thread
+        outs.append(out)
+    files = json.loads((outs[0] / "manifest.json").read_text())["files"]
+    assert "detector_baseline.bin" in files and "detector_aware.bin" in files
+    assert files == json.loads((outs[1] / "manifest.json").read_text())["files"]
+    for rel in files + ["manifest.json"]:
+        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("blocked", ["out_dir", "baseline_detector"])
+def test_failed_stage_raises_its_error_and_leaves_no_workers(tmp_path, blocked):
+    if blocked == "out_dir":
+        # both stages fail on their first file
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        expected, path = NotADirectoryError, out / "datasets"
+    else:
+        # threat model 1 fails once its detector is trained, while threat model 2 still trains
+        out = tmp_path / "out"
+        path = out / "detector_baseline.bin"
+        path.mkdir(parents=True)
+        expected = IsADirectoryError
+    with pytest.raises(expected, match=re.escape(str(path))):
+        run_full_experiment(ExperimentConfig().scaled(0.02), out)
+    assert multiprocessing.active_children() == []
