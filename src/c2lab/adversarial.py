@@ -194,7 +194,7 @@ class StuffingPlan:
             raise ValueError("n_records must be at least 1")
         if self.first_size_next_conn is not None and not _is_int(self.first_size_next_conn):
             raise ValueError(f"first_size_next_conn must be an int or null, got {self.first_size_next_conn!r}")
-        if not all(_is_int(v) for v in self.profile):
+        if not all(map(_is_int, self.profile)):
             raise ValueError("profile entries must be ints")
         if self.profile and len(self.profile) != self.n_records:
             raise ValueError("profile length must match n_records")
@@ -211,7 +211,7 @@ class StuffingPlan:
 
     @property
     def n_exchanges(self) -> int:
-        return math.ceil(self.n_records / 2)
+        return (self.n_records + 1) // 2
 
     def target_at(self, position: int) -> int | None:
         if 0 <= position < self.n_records:
@@ -225,6 +225,11 @@ def alternating_directions(n: int) -> tuple[Direction, ...]:
     return tuple(first if i % 2 == 0 else first.flipped() for i in range(n))
 
 
+# The sender of every feature position, and the positions each side stuffs.
+DIRECTIONS = alternating_directions(FEATURE_LEN)
+_SIDE_POSITIONS = {side: tuple(i for i, d in enumerate(DIRECTIONS) if side.covers(d)) for side in StuffSide}
+
+
 def plan_from_adversarial(x_star: FeatureVector, side: StuffSide, source_id: str = "") -> StuffingPlan:
     """Turn a realizable adversarial vector into a stuffing plan.
 
@@ -234,13 +239,8 @@ def plan_from_adversarial(x_star: FeatureVector, side: StuffSide, source_id: str
     n = x_star.n_records
     if n == 0:
         raise ValueError("adversarial vector has no records")
-    dirs = alternating_directions(n)
-    targets = tuple(
-        PlanTarget(i, dirs[i], int(x_star.values[i]))
-        for i in range(n)
-        if side.covers(dirs[i])
-    )
-    profile = tuple(int(x_star.values[i]) for i in range(n))
+    profile = tuple(int(v) for v in x_star.values[:n])
+    targets = tuple(PlanTarget(i, DIRECTIONS[i], profile[i]) for i in _SIDE_POSITIONS[side] if i < n)
     return StuffingPlan(n_records=n, targets=targets, source_id=source_id, profile=profile)
 
 
@@ -263,13 +263,20 @@ def sample_plan(library: Sequence[StuffingPlan], rng: np.random.Generator) -> St
 
 def chain_plans(plans: Sequence[StuffingPlan]) -> list[StuffingPlan]:
     """Fill each plan's carry-over size from its successor's target at
-    position 0, its first request (None when that position has no target)."""
-    from dataclasses import replace
+    position 0, its first request (None when that position has no target).
 
+    A plan whose carry-over already has that value is kept as it is. Otherwise
+    the copy skips validation: the plan was validated when it was built, and
+    the new value is a target of its validated successor.
+    """
     chained = []
     for i, plan in enumerate(plans):
         nxt = plans[i + 1].target_at(0) if i + 1 < len(plans) else None
-        chained.append(replace(plan, first_size_next_conn=nxt))
+        if nxt != plan.first_size_next_conn:
+            copy = object.__new__(StuffingPlan)
+            vars(copy).update(vars(plan), first_size_next_conn=nxt)
+            plan = copy
+        chained.append(plan)
     return chained
 
 
@@ -299,15 +306,13 @@ def build_plan_library(
             f"no C2 flows with at least {min_exchanges} exchanges "
             f"({2 * min_exchanges} records) to build plans from"
         )
-    dirs = alternating_directions(len(feats[0].values))
-    mask = np.array([side.covers(d) for d in dirs], dtype=np.float64)
+    mask = np.array([side.covers(d) for d in DIRECTIONS], dtype=np.float64)
     x = np.array([fv.values for fv in feats], dtype=np.float64)
     y = np.zeros(len(x), dtype=np.int64)  # true class: C2
     adv = fgsm_batch(params, x, y, config, mask=mask)
     plans = []
-    for i, row in enumerate(adv):
-        fv = FeatureVector(tuple(row))
-        plans.append(plan_from_adversarial(fv, side, source_id=f"{source_tag}[{i}]"))
+    for i, row in enumerate(adv.tolist()):
+        plans.append(plan_from_adversarial(FeatureVector(tuple(row)), side, source_id=f"{source_tag}[{i}]"))
     return plans
 
 
@@ -357,7 +362,7 @@ def _plan_from_entry(entry) -> StuffingPlan:
             raise ValueError(f"targets[{j}].direction {direction!r} unknown") from None
         pos = check_int(f"targets[{j}].position", pos, 0, n_records - 1)
         # target_at reads the position only: requests are even, responses odd
-        if direction is not alternating_directions(pos + 1)[pos]:
+        if direction is not DIRECTIONS[pos]:
             raise ValueError(f"targets[{j}].direction {direction.value!r} does not match position {pos}")
         parsed.append(PlanTarget(pos, direction, check_int(f"targets[{j}].size", size, 1, MAX_RECORD_SIZE)))
     next_size = entry["first_size_next_conn"]

@@ -27,7 +27,7 @@ from .harness import (
     run_overhead,
     write_predictions,
 )
-from .model import Dataset, Label, LabeledSample, Provenance, evasion_rate, features_from_trace
+from .model import Dataset, Label, LabeledSample, Provenance, check_int, evasion_rate, features_from_trace
 
 
 def _load_experiment(args) -> ExperimentConfig:
@@ -52,6 +52,7 @@ def _read_dataset(path) -> Dataset:
 
 
 def _cmd_gen(args) -> int:
+    check_int("--n", args.n, 1)
     ec = _load_experiment(args)
     provenance = Provenance(args.mode)
     library = ()
@@ -93,6 +94,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_attack(args) -> int:
+    check_int("--min-exchanges", args.min_exchanges, 1)
     ec = _load_experiment(args)
     params = det.DetectorParams.load(args.model)
     ds = _read_dataset(args.data)

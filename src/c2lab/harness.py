@@ -11,6 +11,7 @@ so run_full_experiment runs them side by side in worker processes.
 from __future__ import annotations
 
 import csv
+import gc
 import math
 import os
 import sys
@@ -529,8 +530,27 @@ def _run_threat_models(ec: ExperimentConfig, out_dir: str | Path | None) -> tupl
 
     A stage's exception is re-raised here with its type and message. A worker
     that dies, say out of memory, raises BrokenProcessPool instead of hanging.
+    The pool starts multiprocessing's resource tracker process unless one is
+    already running; one started here is stopped before returning.
     """
     # imported here: multiprocessing would add to every command's start-up
+    from multiprocessing import resource_tracker
+
+    # Python 3.11 has no public call that stops the tracker
+    tracker = resource_tracker._resource_tracker
+    owns_tracker = tracker._fd is None
+    try:
+        return _run_on_pool(ec, out_dir)
+    finally:
+        if owns_tracker:
+            # The pool's semaphores unregister themselves when collected; a
+            # tracker stopped before that warns of leaked semaphores.
+            gc.collect()
+            tracker._stop()
+
+
+def _run_on_pool(ec: ExperimentConfig, out_dir: str | Path | None) -> tuple[tuple, tuple]:
+    """The two stage tasks on a spawn-context pool, shut down before returning."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
 

@@ -14,7 +14,7 @@ the request/response alternation by sim.lockstep.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +47,11 @@ class StuffHeader:
     value: bytes
 
 
+# The two Connection header values; every connection-state header is one of them.
+_KEEP_ALIVE = StuffHeader(HeaderKind.CONN_STATE, b"keep-alive")
+_CLOSE = StuffHeader(HeaderKind.CONN_STATE, b"close")
+
+
 @dataclass(frozen=True)
 class HeaderCodec:
     """Names are configurable so captures don't share an obvious marker."""
@@ -54,19 +59,19 @@ class HeaderCodec:
     padding_name: str = "X-Client-Data"
     next_size_name: str = "X-Correlation-Id"
     conn_state_name: str = "Connection"
+    # each kind's name, ASCII-encoded once, in HeaderKind order
+    _names: dict[HeaderKind, bytes] = field(init=False, repr=False, compare=False, default=None)
 
-    def _name_for(self, kind: HeaderKind) -> bytes:
-        return {
-            HeaderKind.PADDING: self.padding_name,
-            HeaderKind.NEXT_SIZE: self.next_size_name,
-            HeaderKind.CONN_STATE: self.conn_state_name,
-        }[kind].encode("ascii")
+    def __post_init__(self) -> None:
+        names = {kind: getattr(self, f"{kind.value}_name").encode("ascii") for kind in HeaderKind}
+        object.__setattr__(self, "_names", names)
 
     def encode(self, header: StuffHeader) -> bytes:
-        return self._name_for(header.kind) + b": " + header.value + CRLF
+        return self._names[header.kind] + b": " + header.value + CRLF
 
     def encoded_len(self, header: StuffHeader) -> int:
-        return len(self.encode(header))
+        """len(encode(header)): the name, ": ", the value and CRLF."""
+        return len(self._names[header.kind]) + 4 + len(header.value)
 
     def decode(self, line: bytes) -> StuffHeader:
         if not line.endswith(CRLF):
@@ -75,8 +80,8 @@ class HeaderCodec:
         name, sep, value = body.partition(b": ")
         if not sep:
             raise CodecError("header line lacks ': ' separator")
-        for kind in HeaderKind:
-            if name == self._name_for(kind):
+        for kind, kind_name in self._names.items():
+            if name == kind_name:
                 self._check_value(kind, value)
                 return StuffHeader(kind, value)
         raise CodecError(f"unrecognized header name {name!r}")
@@ -120,10 +125,17 @@ class HeaderCodec:
         return StuffHeader(HeaderKind.NEXT_SIZE, str(size).encode("ascii"))
 
     def make_conn_state(self, close: bool) -> StuffHeader:
-        return StuffHeader(HeaderKind.CONN_STATE, b"close" if close else b"keep-alive")
+        return _CLOSE if close else _KEEP_ALIVE
 
 
-@dataclass(frozen=True)
+_DEFAULT_CODEC = HeaderCodec()
+_DEFAULT_SIZE_MODEL = TlsSizeModel()
+
+
+# The step types below are not frozen: one of each is built per exchange, and
+# frozen dataclasses are slow to build. No step changes a state it is given;
+# each returns a new one.
+@dataclass(slots=True)
 class FrameworkSession:
     """Server-side cursor over one connection's stuffing plan."""
 
@@ -132,7 +144,7 @@ class FrameworkSession:
     exchange_index: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FrameworkReply:
     headers: tuple[StuffHeader, ...]
     stuffing: int
@@ -153,41 +165,42 @@ def framework_step(
     alternation. The final exchange of the plan closes the connection, and
     its response hands over the next connection's first request target.
     """
-    codec = codec or HeaderCodec()
-    size_model = size_model or TlsSizeModel()
-    plan = state.plan
-    if state.exchange_index >= plan.n_exchanges:
+    if codec is None:
+        codec = _DEFAULT_CODEC
+    if size_model is None:
+        size_model = _DEFAULT_SIZE_MODEL
+    plan, side, index = state.plan, state.side, state.exchange_index
+    n_exchanges = plan.n_exchanges
+    if index >= n_exchanges:
         raise ProtocolError("framework stepped past the end of its plan")
-    close = state.exchange_index == plan.n_exchanges - 1
+    close = index == n_exchanges - 1
 
-    headers = [codec.make_conn_state(close)]
-    if state.side.covers(Direction.PAYLOAD_TO_FRAMEWORK):
-        if close:
-            next_target = plan.first_size_next_conn
-        else:
-            next_target = plan.target_at(2 * (state.exchange_index + 1))
-        if next_target is not None:
-            headers.append(codec.make_next_size(next_target))
-
+    headers: tuple[StuffHeader, ...] = (codec.make_conn_state(close),)
     # Connection is a stock header already counted in content_plaintext;
     # only the size announcement adds bytes.
-    control_len = sum(codec.encoded_len(h) for h in headers if h.kind is HeaderKind.NEXT_SIZE)
+    control_len = 0
+    if side.covers(Direction.PAYLOAD_TO_FRAMEWORK):
+        next_target = plan.first_size_next_conn if close else plan.target_at(2 * index + 2)
+        if next_target is not None:
+            announcement = codec.make_next_size(next_target)
+            headers += (announcement,)
+            control_len = codec.encoded_len(announcement)
     framed = size_model.framed_size(content_plaintext + control_len)
     stuffing = 0
-    if state.side.covers(Direction.FRAMEWORK_TO_PAYLOAD):
-        own_target = plan.target_at(2 * state.exchange_index + 1)
+    if side.covers(Direction.FRAMEWORK_TO_PAYLOAD):
+        own_target = plan.target_at(2 * index + 1)
         if own_target is not None:
             stuffing = stuff_amount(own_target, framed)
     return FrameworkReply(
-        headers=tuple(headers),
+        headers=headers,
         stuffing=stuffing,
         realized_size=framed + stuffing,
         close=close,
-        state=replace(state, exchange_index=state.exchange_index + 1),
+        state=FrameworkSession(plan, side, index + 1),
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PayloadSession:
     """Client-side stuffing state: at most one pending size at a time."""
 
@@ -195,7 +208,7 @@ class PayloadSession:
     missing_next_size: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PayloadAction:
     stuffing: int
     realized_size: int
@@ -215,20 +228,19 @@ def payload_step(
     then falls back to the pre-seeded pending size (zero stuffing if none,
     mirroring an implant that has not heard from its framework yet).
     """
-    size_model = size_model or TlsSizeModel()
+    if size_model is None:
+        size_model = _DEFAULT_SIZE_MODEL
+    reuse = True
     if received is None:
         pending = state.pending_next_size
-        missing = state.missing_next_size if pending is not None else state.missing_next_size + 1
-        reuse = True
     else:
         pending = None
-        reuse = True
         for h in received:
             if h.kind is HeaderKind.NEXT_SIZE:
                 pending = int(h.value)
             elif h.kind is HeaderKind.CONN_STATE:
                 reuse = h.value != b"close"
-        missing = state.missing_next_size + (1 if pending is None else 0)
+    missing = state.missing_next_size + (1 if pending is None else 0)
 
     framed = size_model.framed_size(content_plaintext)
     stuffing = stuff_amount(pending, framed) if pending is not None else 0

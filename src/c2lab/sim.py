@@ -79,38 +79,45 @@ NAIVE_MODES = (
 
 @dataclass(frozen=True, eq=False)
 class PlanIndex:
-    """A plan library as int64 rows, one per plan, for the scheduler.
+    """A plan library laid out for the scheduler, one row per plan.
 
-    Columns are record positions, 2 * the longest plan's n_exchanges of
-    them. target holds the crafted size where covered is set and 0
-    elsewhere; profiled marks the uncovered positions inside n_records
-    whose plan carries a profile, and profile holds those sizes.
+    A plan's fit error to queued content is a sum of terms
+    max(slope * content - offset, 0), in units of PROFILE_WEIGHT so that
+    every term is an integer. terms[row] holds the slopes, then the offsets,
+    of three terms per record position over 2 * the longest plan's
+    n_exchanges positions:
+
+    - a covered position's overshoot past its target t: slope OVERSHOOT_UNITS
+      and offset OVERSHOOT_UNITS * t;
+    - the drift of an uncovered position inside n_records from the profile
+      size p, when the plan carries a profile: the two halves of
+      |content - p|, slopes 1 and -1, offsets p and -p;
+    - every other term: slope and offset 0.
     """
 
-    n_exchanges: np.ndarray
-    target: np.ndarray
-    covered: np.ndarray
-    profile: np.ndarray
-    profiled: np.ndarray
+    n_exchanges: list[int]
+    terms: np.ndarray
+
+    @property
+    def longest(self) -> int:
+        """Exchanges of the library's longest plan."""
+        return self.terms.shape[-1] // 2
 
     @classmethod
     def build(cls, library: Sequence[StuffingPlan]) -> "PlanIndex":
-        n_exchanges = np.array([p.n_exchanges for p in library], dtype=np.int64)
-        width = 2 * int(n_exchanges.max())
-
-        def padded(values) -> list[int]:
-            return list(values) + [0] * (width - len(values))
-
-        target = np.array(
-            [padded([p.target_at(i) or 0 for i in range(p.n_records)]) for p in library], dtype=np.int64
-        )
-        profile = np.array([padded(p.profile) for p in library], dtype=np.int64)
-        n_records = np.array([p.n_records for p in library], dtype=np.int64)
-        has_profile = np.array([bool(p.profile) for p in library])
+        n_exchanges = [p.n_exchanges for p in library]
+        width = 2 * max(n_exchanges)
+        target = np.zeros((len(library), width), dtype=np.int64)
+        cells = [(row, t.position, t.size) for row, p in enumerate(library) for t in p.targets]
+        cells = np.array(cells, dtype=np.int64).reshape(-1, 3)  # (0, 3) when no plan has a target
+        target[cells[:, 0], cells[:, 1]] = cells[:, 2]
+        profile = np.array([[*p.profile, *[0] * (width - len(p.profile))] for p in library], dtype=np.int64)
+        profiled_records = np.array([p.n_records if p.profile else 0 for p in library])
         covered = target > 0
-        inside = np.arange(width) < n_records[:, None]
-        profiled = ~covered & inside & has_profile[:, None]
-        return cls(n_exchanges, target, covered, profile, profiled)
+        profiled = (~covered & (np.arange(width) < profiled_records[:, None])).astype(np.int64)
+        slopes = np.stack([OVERSHOOT_UNITS * covered, profiled, -profiled], axis=1)
+        offsets = np.stack([OVERSHOOT_UNITS * target, profile * profiled, -profile * profiled], axis=1)
+        return cls(n_exchanges, np.stack([slopes, offsets], axis=1))
 
 
 @dataclass(frozen=True)
@@ -352,27 +359,59 @@ def simulate_session(script: SessionScript, cfg: SimConfig, session_index: int =
 PLAN_CANDIDATES = 48  # library draws scored per connection
 PLAN_DRAWS = 65  # draws per candidate; the last one is kept even if too long
 PROFILE_WEIGHT = 0.25  # context drift is cheaper than corrupting a crafted size
+# Fit errors count in units of PROFILE_WEIGHT, so they are exact integers: a
+# byte of drift costs one unit and a byte of overshoot OVERSHOOT_UNITS.
+OVERSHOOT_UNITS = round(1 / PROFILE_WEIGHT)
+ORPHAN_PENALTY = 10**6 * OVERSHOOT_UNITS
+DRAW_BLOCK = 512  # library rows drawn from the generator per call
 
 
-def _draw_candidates(n_exchanges: np.ndarray, remaining: int, rng: np.random.Generator) -> np.ndarray:
+class _RowDraws:
+    """Uniform library rows for one session, drawn from rng in blocks.
+
+    A run of draws yields the same values however it is split into calls,
+    so the rows equal one-at-a-time draws. finish() puts rng in the state
+    that drawing exactly the rows taken, one at a time, leaves it in.
+    """
+
+    def __init__(self, rng: np.random.Generator, n_plans: int):
+        self.rng = rng
+        self.n_plans = n_plans
+        self.start = rng.bit_generator.state
+        self.rows: list[int] = []
+        self.taken = 0
+
+    def take(self, n: int) -> list[int]:
+        while self.taken + n > len(self.rows):
+            self.rows += self.rng.integers(self.n_plans, size=DRAW_BLOCK).tolist()
+        self.taken += n
+        return self.rows[self.taken - n : self.taken]
+
+    def finish(self) -> None:
+        self.rng.bit_generator.state = self.start
+        self.rng.integers(self.n_plans, size=self.taken)
+
+
+def _draw_candidates(index: PlanIndex, remaining: int, draws: _RowDraws) -> list[int]:
     """Library rows of the PLAN_CANDIDATES candidates for one connection.
 
     Each candidate redraws while its plan needs more exchanges than remain,
     and keeps its PLAN_DRAWS-th draw regardless. Every open candidate needs
-    at least one more draw, so a block of one draw per open candidate takes
-    exactly the values, and leaves the generator in the state, of drawing
-    them one at a time.
+    at least one more draw, so taking one row per open candidate takes
+    exactly the rows that drawing them one at a time would.
     """
+    if remaining >= index.longest:  # every draw fits
+        return draws.take(PLAN_CANDIDATES)
+    n_exchanges = index.n_exchanges
     chosen: list[int] = []
     tries = 0  # draws spent on the candidate being drawn
     while len(chosen) < PLAN_CANDIDATES:
-        block = rng.integers(len(n_exchanges), size=PLAN_CANDIDATES - len(chosen))
-        for row, fits in zip(block.tolist(), (n_exchanges[block] <= remaining).tolist()):
+        for row in draws.take(PLAN_CANDIDATES - len(chosen)):
             tries += 1
-            if fits or tries == PLAN_DRAWS:
+            if n_exchanges[row] <= remaining or tries == PLAN_DRAWS:
                 chosen.append(row)
                 tries = 0
-    return np.array(chosen)
+    return chosen
 
 
 def _schedule_plans(events: list[tuple], mode: Adversarial, plan_rng: np.random.Generator, frame) -> list[StuffingPlan]:
@@ -385,30 +424,33 @@ def _schedule_plans(events: list[tuple], mode: Adversarial, plan_rng: np.random.
     crafted. Uncovered positions drift by however far the queued content
     sits from the profile the plan was crafted around; that is context, not
     the attack itself, so it is discounted. Every term is a multiple of
-    PROFILE_WEIGHT, so the sums are exact and ties go to the first draw.
+    PROFILE_WEIGHT, so the errors are exact and ties go to the first draw.
     """
     index = mode.index
-    width = index.target.shape[1]
+    n_exchanges = index.n_exchanges
     content = np.array([frame(pt) for ev in events for pt in (ev[2], ev[4])], dtype=np.int64)
+    draws = _RowDraws(plan_rng, len(n_exchanges))
     remaining = len(events)
     cursor = 0
     plans: list[StuffingPlan] = []
     while remaining > 0:
-        rows = _draw_candidates(index.n_exchanges, remaining, plan_rng)
+        rows = _draw_candidates(index, remaining, draws)
         # positions past the session's last exchange carry no content
-        span = min(2 * remaining, width)
+        span = 2 * min(remaining, index.longest)
         window = content[2 * cursor : 2 * cursor + span]
-        overshoot = np.maximum(window - index.target[rows, :span], 0) * index.covered[rows, :span]
-        drift = np.abs(window - index.profile[rows, :span]) * index.profiled[rows, :span]
-        err = overshoot.sum(axis=1) + PROFILE_WEIGHT * drift.sum(axis=1)
+        terms = index.terms[rows, :, :, :span]
+        errors = np.maximum(terms[:, 0] * window - terms[:, 1], 0).sum(axis=(1, 2)).tolist()
         # a lone leftover exchange would ride an ill-fitting plan; plan the
         # splits so no orphan connection remains
-        err[remaining - np.minimum(index.n_exchanges[rows], remaining) == 1] += 1e6
-        best = mode.library[int(rows[np.argmin(err)])]
+        for k, row in enumerate(rows):
+            if n_exchanges[row] == remaining - 1:
+                errors[k] += ORPHAN_PENALTY
+        best = mode.library[rows[errors.index(min(errors))]]
         plans.append(best)
         took = min(best.n_exchanges, remaining)
         remaining -= took
         cursor += took
+    draws.finish()
     return plans
 
 

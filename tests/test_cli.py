@@ -226,6 +226,27 @@ def test_attack_non_finite_epsilon_exits_2_without_plans(pipeline, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_gen_non_positive_count_exits_2_naming_the_flag(tmp_path, capsys, n):
+    out = tmp_path / "reg.csv"
+    assert main(["gen", "--mode", "regular", f"--n={n}", "--out", str(out)]) == 2
+    _assert_one_line_error(capsys, "--n must be an integer >= 1", f"got {n}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("min_exchanges", ["0", "-1"])
+def test_attack_non_positive_min_exchanges_exits_2_naming_the_flag(pipeline, tmp_path, capsys, min_exchanges):
+    out = tmp_path / "plans.json"
+    capsys.readouterr()
+    rc = main([
+        "attack", "--model", str(pipeline["model"]), "--data", str(pipeline["randreq"]),
+        f"--min-exchanges={min_exchanges}", "--out", str(out),
+    ])
+    assert rc == 2
+    _assert_one_line_error(capsys, "--min-exchanges must be an integer >= 1", f"got {min_exchanges}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "attack", "train"])
 def test_header_only_dataset_exits_2_naming_the_file(pipeline, tmp_path, capsys, command):
     empty = tmp_path / "empty.csv"

@@ -438,6 +438,15 @@ def test_run_overhead_zero_runs_notes_skip():
 # ---------------------------------------------------------------------------
 # whole experiment: both threat-model stages run in worker processes
 
+def _child_pids() -> set[str]:
+    """Every live child of this process, whichever thread started it.
+
+    multiprocessing.active_children() lists only the Process objects it
+    manages, not helpers such as the resource tracker.
+    """
+    return {pid for path in Path("/proc/self/task").glob("*/children") for pid in path.read_text().split()}
+
+
 def test_report_is_byte_identical_at_one_and_two_stage_workers(tmp_path, monkeypatch):
     ec = ExperimentConfig().scaled(0.02)
     blas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
@@ -445,8 +454,10 @@ def test_report_is_byte_identical_at_one_and_two_stage_workers(tmp_path, monkeyp
     for workers in (1, 2):
         monkeypatch.setattr(harness, "_stage_workers", lambda n=workers: n)
         out = tmp_path / f"workers-{workers}"
+        children = _child_pids()
         run_full_experiment(ec, out)
         assert multiprocessing.active_children() == []
+        assert _child_pids() <= children  # no worker or resource tracker left behind
         assert os.environ.get("OPENBLAS_NUM_THREADS") == blas_threads  # only the workers ran at one thread
         outs.append(out)
     files = json.loads((outs[0] / "manifest.json").read_text())["files"]
@@ -469,6 +480,8 @@ def test_failed_stage_raises_its_error_and_leaves_no_workers(tmp_path, blocked):
         path = out / "detector_baseline.bin"
         path.mkdir(parents=True)
         expected = IsADirectoryError
+    children = _child_pids()
     with pytest.raises(expected, match=re.escape(str(path))):
         run_full_experiment(ExperimentConfig().scaled(0.02), out)
     assert multiprocessing.active_children() == []
+    assert _child_pids() <= children

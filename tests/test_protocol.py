@@ -116,6 +116,33 @@ def test_padding_roundtrip_property(total):
     assert CODEC.decode(CODEC.encode(h)) == h
 
 
+header_names = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-", min_size=1, max_size=40)
+codecs = st.one_of(
+    st.just(CODEC),
+    st.builds(HeaderCodec, padding_name=header_names, next_size_name=header_names, conn_state_name=header_names),
+)
+
+
+@st.composite
+def codec_and_header(draw):
+    codec = draw(codecs)
+    kind = draw(st.sampled_from(HeaderKind))
+    if kind is HeaderKind.PADDING:
+        header = codec.make_padding(draw(st.integers(codec.min_padding_line, codec.min_padding_line + 2000)))
+    elif kind is HeaderKind.NEXT_SIZE:
+        header = codec.make_next_size(draw(st.integers(0, MAX_NEXT_SIZE)))
+    else:
+        header = codec.make_conn_state(draw(st.booleans()))
+    return codec, header
+
+
+@settings(max_examples=300)
+@given(codec_and_header())
+def test_encoded_len_is_the_encoded_line_length(case):
+    codec, header = case
+    assert codec.encoded_len(header) == len(codec.encode(header))
+
+
 # ---------------------------------------------------------------------------
 # state machines
 

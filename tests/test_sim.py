@@ -1,3 +1,4 @@
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from c2lab import sim
-from c2lab.adversarial import StuffSide, StuffingPlan, PlanTarget, sample_plan
-from c2lab.model import Direction, MAX_RECORD_SIZE, Provenance
+from c2lab.adversarial import StuffSide, StuffingPlan, PlanTarget, plan_from_adversarial, sample_plan
+from c2lab.model import Direction, FeatureVector, MAX_RECORD_SIZE, Provenance
 from c2lab.sim import (
     Adversarial,
     Command,
@@ -438,3 +439,78 @@ def test_conn_wire_bytes_is_the_frame_plan_sum(case):
 def test_conn_wire_bytes_needs_records():
     with pytest.raises(ValueError, match="must carry records"):
         conn_wire_bytes([], CFG)
+
+
+# ---------------------------------------------------------------------------
+# pinned adversarial flows: a fixed library, no detector, digests that must not move
+
+
+def _pinned_plans(side):
+    """24 plans of 1 to 20 records with sizes drawn from a fixed seed; every
+    third one carries no profile."""
+    rng = np.random.default_rng(20240601)
+    plans = []
+    for k in range(24):
+        sizes = (16 * rng.integers(20, 200, size=int(rng.integers(1, 21)))).tolist()
+        plan = plan_from_adversarial(FeatureVector.from_sizes(sizes), side, f"pin[{k}]")
+        if k % 3 == 2:
+            plan = StuffingPlan(plan.n_records, plan.targets, source_id=plan.source_id)
+        plans.append(plan)
+    return plans
+
+
+def _pinned_library(side):
+    # as in the threat-model-2 sweep: the two-side operator may also ride framework-only plans
+    extra = _pinned_plans(StuffSide.FRAMEWORK_ONLY) if side is StuffSide.TWO_SIDE else []
+    return tuple(_pinned_plans(side) + extra)
+
+
+# sha256 of every connection's (time, direction, size) records, and the
+# requests that heard no size, of 240 flows per side at seed 23
+PINNED_FLOWS = {
+    StuffSide.FRAMEWORK_ONLY: ("358c96f2a9c09c65799b8cf627422bf9153645ed5cd09c41c1fcc0e68e3363a1", 1129),
+    StuffSide.PAYLOAD_ONLY: ("1e161721ab285755d94e8bf2b3d7f9b83ea86c79b488342df617c58d6cf20108", 0),
+    StuffSide.TWO_SIDE: ("c302a13c8a37629020f5f3445e5ce2e5d5fa87630f0ad160232da596b3c9cb82", 600),
+}
+
+
+@pytest.mark.parametrize("side", list(StuffSide))
+def test_adversarial_flows_match_pinned_digests(side):
+    flows = generate_c2_traces(240, SimConfig(mode=Adversarial(side, _pinned_library(side)), seed=23))
+    records = [[(t, d.value, size) for t, d, size in conn] for conn in flows.conn_records]
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert (digest, flows.missing_next_size) == PINNED_FLOWS[side]
+
+
+# ---------------------------------------------------------------------------
+# hooks: one protocol step of each kind per exchange, one chain per session
+
+
+@pytest.mark.parametrize("side", list(StuffSide))
+def test_per_exchange_hooks_see_every_simulated_exchange(side, monkeypatch):
+    calls = dict.fromkeys(["payload_step", "framework_step", "chain_plans"], 0)
+    simulated = {"sessions": 0, "exchanges": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def traced_session(script, cfg, session_index=0):
+        result = simulate_session(script, cfg, session_index)
+        simulated["sessions"] += 1
+        simulated["exchanges"] += result.n_exchanges()
+        return result
+
+    for name in calls:
+        monkeypatch.setattr(sim, name, counted(name, getattr(sim, name)))
+    monkeypatch.setattr(sim, "simulate_session", traced_session)
+    flows = generate_c2_traces(40, SimConfig(mode=Adversarial(side, _pinned_library(side)), seed=5))
+    assert simulated["sessions"] == flows.sessions > 1
+    assert calls == {
+        "payload_step": simulated["exchanges"],
+        "framework_step": simulated["exchanges"],
+        "chain_plans": flows.sessions,
+    }
