@@ -9,8 +9,10 @@ else is skipped, and its anomalies are counted.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import MAX_RECORD_SIZE, Direction, FlowTrace, RecordEvent
 from .sizing import RECORD_HEADER_LEN, TLS_APPDATA, TLS_CONTENT_TYPES
@@ -21,9 +23,11 @@ TLS_MAX_RECORD_LEN = 2**14 + 2048
 Endpoint = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class TcpStreamKey:
-    """Order-independent identity of a TCP connection."""
+class TcpStreamKey(NamedTuple):
+    """Order-independent identity of a TCP connection.
+
+    A named tuple rather than a dataclass: extraction hashes one per segment.
+    """
 
     a: Endpoint
     b: Endpoint
@@ -61,34 +65,31 @@ class SegmentRecord:
 
 
 def read_pcap(path: str | Path) -> tuple[list[SegmentRecord], ExtractionCounters]:
-    """Load every TCP segment of a capture, non-TCP frames counted and skipped."""
-    counters = ExtractionCounters()
+    """Load every TCP segment of a capture, non-TCP frames counted and skipped.
+
+    A frame parse_frame rejects raises its PcapFormatError, prefixed with
+    the frame's 0-based packet index.
+    """
     segments: list[SegmentRecord] = []
-    # One key per (source, destination) pair rather than one per frame.
-    keys: dict[tuple[Endpoint, Endpoint], TcpStreamKey] = {}
+    # One stream key and source endpoint per (source, destination) pair.
+    endpoints: dict[tuple[str, int, str, int], tuple[TcpStreamKey, Endpoint]] = {}
+    frames = 0
     for index, (timestamp, frame) in enumerate(read_packets(path)):
-        counters.frames_total += 1
-        parsed = parse_frame(frame)
+        frames += 1
+        try:
+            parsed = parse_frame(frame)
+        except PcapFormatError as exc:
+            raise PcapFormatError(f"packet {index}: {exc}") from None
         if parsed is None:
-            counters.frames_skipped += 1
             continue
-        src = (parsed.src_ip, parsed.src_port)
-        dst = (parsed.dst_ip, parsed.dst_port)
-        key = keys.get((src, dst))
-        if key is None:
-            key = keys[src, dst] = TcpStreamKey.from_endpoints(src, dst)
-        segments.append(
-            SegmentRecord(
-                index=index,
-                timestamp=timestamp,
-                key=key,
-                src=src,
-                seq=parsed.seq,
-                flags=parsed.flags,
-                payload=parsed.payload,
-            )
-        )
-    return segments, counters
+        pair = (parsed.src_ip, parsed.src_port, parsed.dst_ip, parsed.dst_port)
+        known = endpoints.get(pair)
+        if known is None:
+            src = (parsed.src_ip, parsed.src_port)
+            known = endpoints[pair] = (TcpStreamKey.from_endpoints(src, (parsed.dst_ip, parsed.dst_port)), src)
+        key, src = known
+        segments.append(SegmentRecord(index, timestamp, key, src, parsed.seq, parsed.flags, parsed.payload))
+    return segments, ExtractionCounters(frames_total=frames, frames_skipped=frames - len(segments))
 
 
 @dataclass
@@ -99,6 +100,9 @@ class _DirectionStream:
     mark_ends: list[int]
     mark_ts: list[float]
     mark_idx: list[int]
+
+
+_SEQ_ORDER = attrgetter("seq", "index")
 
 
 def reassemble(segments: list[SegmentRecord], counters: ExtractionCounters) -> _DirectionStream:
@@ -115,42 +119,46 @@ def reassemble(segments: list[SegmentRecord], counters: ExtractionCounters) -> _
         if seg.flags & SYN:
             base = (seg.seq + 1) & 0xFFFFFFFF
             break
-    data_segs = sorted((s for s in segments if s.payload), key=lambda s: (s.seq, s.index))
+    data_segs = [s for s in segments if s.payload]
+    data_segs.sort(key=_SEQ_ORDER)
     if base is None:
         if not data_segs:
             return stream
         base = data_segs[0].seq
     chunks: list[bytes] = []
+    mark_ends, mark_ts, mark_idx = stream.mark_ends, stream.mark_ts, stream.mark_idx
     expected = base
     for seg in data_segs:
+        payload = seg.payload
         rel = (seg.seq - base) & 0xFFFFFFFF
         if rel > 0x7FFFFFFF:  # before the ISN, stale
             counters.duplicate_segments += 1
             continue
         offset = base + rel
         if offset == expected:
-            chunks.append(seg.payload)
-            expected += len(seg.payload)
+            chunks.append(payload)
+            expected += len(payload)
         elif offset < expected:
             overlap = expected - offset
-            if overlap >= len(seg.payload):
+            if overlap >= len(payload):
                 counters.duplicate_segments += 1
                 continue
             counters.duplicate_segments += 1
-            tail = seg.payload[overlap:]
+            tail = payload[overlap:]
             chunks.append(tail)
             expected += len(tail)
         else:
             counters.tcp_gaps += 1
             break
-        stream.mark_ends.append(expected - base)
-        stream.mark_ts.append(seg.timestamp)
-        stream.mark_idx.append(seg.index)
+        mark_ends.append(expected - base)
+        mark_ts.append(seg.timestamp)
+        mark_idx.append(seg.index)
     stream.data = b"".join(chunks)
     return stream
 
 
-@dataclass(frozen=True)
+# Not frozen: one is built per record.
+@dataclass(slots=True)
 class TlsRecordInfo:
     content_type: int
     size: int
@@ -166,48 +174,54 @@ def parse_tls_records(stream: _DirectionStream, counters: ExtractionCounters) ->
     whose body runs past the capture is merely incomplete.
     """
     data = stream.data
+    n = len(data)
     records: list[TlsRecordInfo] = []
     pos = 0
-    while pos + RECORD_HEADER_LEN <= len(data):
+    while pos + RECORD_HEADER_LEN <= n:
         ctype = data[pos]
         length = (data[pos + 3] << 8) | data[pos + 4]
         if ctype not in TLS_CONTENT_TYPES or length > TLS_MAX_RECORD_LEN:
             counters.tls_parse_errors += 1
             break
         end = pos + RECORD_HEADER_LEN + length
-        if end > len(data):
+        if end > n:
             counters.incomplete_records += 1
             break
         if length > 0:
             mark = bisect.bisect_left(stream.mark_ends, end)
-            records.append(
-                TlsRecordInfo(
-                    content_type=ctype,
-                    size=length,
-                    timestamp=stream.mark_ts[mark],
-                    completing_index=stream.mark_idx[mark],
-                )
-            )
+            records.append(TlsRecordInfo(ctype, length, stream.mark_ts[mark], stream.mark_idx[mark]))
         pos = end
     return records
+
+
+# A record's completion time, then its completing frame; stable for records
+# that one frame completes.
+_TIME_ORDER = itemgetter(0, 1)
 
 
 def traces_from_pcap(path: str | Path) -> tuple[list[FlowTrace], ExtractionCounters]:
     """Extract one FlowTrace per TCP connection that carried application data."""
     segments, counters = read_pcap(path)
-    by_key: dict[TcpStreamKey, list[SegmentRecord]] = {}
+    # Each connection's segments by source endpoint, in one pass, with the
+    # source of its first SYN: that endpoint is the client.
+    by_key: dict[TcpStreamKey, dict[Endpoint, list[SegmentRecord]]] = {}
+    syn_src: dict[TcpStreamKey, Endpoint] = {}
     for seg in segments:
-        by_key.setdefault(seg.key, []).append(seg)
+        key = seg.key
+        by_src = by_key.get(key)
+        if by_src is None:
+            by_src = by_key[key] = {}
+        own = by_src.get(seg.src)
+        if own is None:
+            own = by_src[seg.src] = []
+        own.append(seg)
+        if seg.flags & SYN and key not in syn_src:
+            syn_src[key] = seg.src
 
     traces: list[FlowTrace] = []
-    for key, segs in by_key.items():
-        client = None
-        for seg in segs:
-            if seg.flags & SYN:
-                client = seg.src
-                break
-        if client is None:
-            client = segs[0].src
+    for key, by_src in by_key.items():
+        # without a SYN, whoever sent first is the client
+        client = syn_src.get(key) or next(iter(by_src))
         server = key.b if client == key.a else key.a
         conn_id = f"{client[0]}:{client[1]}-{server[0]}:{server[1]}"
 
@@ -216,8 +230,7 @@ def traces_from_pcap(path: str | Path) -> tuple[list[FlowTrace], ExtractionCount
             (client, Direction.PAYLOAD_TO_FRAMEWORK),
             (server, Direction.FRAMEWORK_TO_PAYLOAD),
         ):
-            own = [s for s in segs if s.src == endpoint]
-            stream = reassemble(own, counters)
+            stream = reassemble(by_src.get(endpoint, []), counters)
             for rec in parse_tls_records(stream, counters):
                 if rec.content_type != TLS_APPDATA:
                     continue
@@ -230,7 +243,7 @@ def traces_from_pcap(path: str | Path) -> tuple[list[FlowTrace], ExtractionCount
         if not merged:
             counters.flows_without_appdata += 1
             continue
-        merged.sort(key=lambda item: (item[0], item[1]))
+        merged.sort(key=_TIME_ORDER)
         records = tuple(RecordEvent(ts, direction, size) for ts, _idx, direction, size in merged)
         traces.append(FlowTrace(conn_id, records))
     return traces, counters

@@ -19,6 +19,7 @@ checks that the two agree.
 
 from __future__ import annotations
 
+import struct
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -527,14 +528,11 @@ def _adversarial_session(events: list[tuple], cfg: SimConfig, session_index: int
 # ---------------------------------------------------------------------------
 # frame planning shared by wire accounting and emission
 
-def _record_chunks(total: int, mss: int) -> list[int]:
-    chunks = []
-    left = total
-    while left > 0:
-        take = min(left, mss)
-        chunks.append(take)
-        left -= take
-    return chunks
+@lru_cache(maxsize=4096)
+def _chunk_layout(rec_len: int, mss: int) -> tuple[tuple[int, int], ...]:
+    """(start, end) of each frame's slice of a TLS record's header and body."""
+    total = RECORD_HEADER_LEN + rec_len
+    return tuple((start, min(start + mss, total)) for start in range(0, total, mss))
 
 
 def _record_frames(rec_len: int, mss: int) -> int:
@@ -585,28 +583,38 @@ class FrameSpec:
     record: tuple[int, int, int, int] | None
 
 
-def conn_frame_plan(records: Sequence[Record], cfg: SimConfig) -> list[FrameSpec]:
+def _conn_flights(records: Sequence[Record], cfg: SimConfig) -> list[tuple[float, bool, int, int, int]]:
+    """A connection's TCP handshake, TLS records and FINs in plan order.
+
+    Each is (ts, from_client, flags, content_type, record_len); a bare TCP
+    frame has content type 0, and a record goes out as the frames of its
+    _chunk_layout.
+    """
     if not records:
         raise ValueError("a connection must carry records")
     t0 = round(records[0][0] - HANDSHAKE_LEAD, 6)
-    plan = [FrameSpec(round(t0 + dt, 6), from_client, flags, None) for dt, from_client, flags in _TCP_OPEN]
-    c_len, s_len = _handshake_record_lens(cfg.handshake_wire_bytes, cfg.mss)
-    for ts, from_client, rec_len in (
-        (round(t0 + 0.0010, 6), True, c_len),
-        (round(t0 + 0.0020, 6), False, s_len),
-    ):
-        offset = 0
-        for chunk in _record_chunks(RECORD_HEADER_LEN + rec_len, cfg.mss):
-            plan.append(FrameSpec(ts, from_client, PSH | ACK, (TLS_HANDSHAKE, rec_len, offset, chunk)))
-            offset += chunk
-    for ts, direction, size in records:
-        from_client = direction is Direction.PAYLOAD_TO_FRAMEWORK
-        offset = 0
-        for chunk in _record_chunks(RECORD_HEADER_LEN + size, cfg.mss):
-            plan.append(FrameSpec(round(ts, 6), from_client, PSH | ACK, (TLS_APPDATA, size, offset, chunk)))
-            offset += chunk
     t_end = records[-1][0]
-    plan.extend(FrameSpec(round(t_end + dt, 6), from_client, flags, None) for dt, from_client, flags in _TCP_CLOSE)
+    c_len, s_len = _handshake_record_lens(cfg.handshake_wire_bytes, cfg.mss)
+    return [
+        *((round(t0 + dt, 6), from_client, flags, 0, 0) for dt, from_client, flags in _TCP_OPEN),
+        (round(t0 + 0.0010, 6), True, PSH | ACK, TLS_HANDSHAKE, c_len),
+        (round(t0 + 0.0020, 6), False, PSH | ACK, TLS_HANDSHAKE, s_len),
+        *(
+            (round(ts, 6), direction is Direction.PAYLOAD_TO_FRAMEWORK, PSH | ACK, TLS_APPDATA, size)
+            for ts, direction, size in records
+        ),
+        *((round(t_end + dt, 6), from_client, flags, 0, 0) for dt, from_client, flags in _TCP_CLOSE),
+    ]
+
+
+def conn_frame_plan(records: Sequence[Record], cfg: SimConfig) -> list[FrameSpec]:
+    plan = []
+    for ts, from_client, flags, ctype, rec_len in _conn_flights(records, cfg):
+        if not ctype:
+            plan.append(FrameSpec(ts, from_client, flags, None))
+            continue
+        for start, end in _chunk_layout(rec_len, cfg.mss):
+            plan.append(FrameSpec(ts, from_client, flags, (ctype, rec_len, start, end - start)))
     return plan
 
 
@@ -781,6 +789,10 @@ def generate_web_traces(n_flows: int, cfg: SimConfig, web: WebConfig | None = No
 # pcap emission
 
 MAX_HEADER_RECORD_LEN = 0xFFFF  # the TLS record header's length field is 16 bits
+# a TLS record header: content type, version (0x0303, TLS 1.2) and length
+_TLS_RECORD_HEADER = struct.Struct("!BHH")
+# a bare TCP frame: one frame with an empty payload
+_BARE_LAYOUT = ((0, 0),)
 
 
 class RecordTooLargeError(ValueError):
@@ -796,61 +808,62 @@ def emit_pcap(
     """Write the planned connections as a capture file.
 
     Every frame the wire-byte accounting promised is emitted literally:
-    same chunk sizes, same overhead, ciphertext drawn from the seed. A
-    record over MAX_HEADER_RECORD_LEN bytes raises RecordTooLargeError
-    naming its connection, and nothing is written.
+    conn_frame_plan's frames, from the same flights and chunk layouts, with
+    ciphertext drawn from the seed. A record over MAX_HEADER_RECORD_LEN
+    bytes raises RecordTooLargeError naming its connection, and nothing is
+    written.
     """
     rng = substream(seed, "ciphertext")
+    # (timestamp, emission order, frame); the emission order is also the IP id
     entries: list[tuple[float, int, bytes]] = []
     ip_id = 0
-    server = ("10.8.0.2", 443)
+    server_ip, server_port = "10.8.0.2", 443
     for idx, records in enumerate(conn_records):
-        client = (f"10.0.{idx // 20000}.1", 40000 + idx % 20000)
-        seqs = {True: 1000, False: 2000}
-        plan = conn_frame_plan(records, cfg)
+        client_ip, client_port = f"10.0.{idx // 20000}.1", 40000 + idx % 20000
+        flights = _conn_flights(records, cfg)
         # One draw per connection. rng.bytes(n) draws ceil(n / 4) uint32 words
         # and drops the tail bytes, so each record's ciphertext is the head of
         # its own words in the block, and the generator ends where per-record
         # draws would leave it. One block per capture would hold it all in memory.
-        rec_lens = [spec.record[1] for spec in plan if spec.record is not None and spec.record[2] == 0]
-        words = rng.integers(0, 2**32, size=sum((n + 3) // 4 for n in rec_lens), dtype=np.uint32)
-        ciphertext = words.astype("<u4", copy=False).tobytes()
+        words = rng.integers(0, 2**32, size=sum((f[4] + 3) // 4 for f in flights), dtype=np.uint32)
+        ciphertext = memoryview(words.astype("<u4", copy=False).view(np.uint8))
         cipher_pos = 0
-        current_blob = b""
-        for spec in plan:
-            src, dst = (client, server) if spec.from_client else (server, client)
-            payload = b""
-            if spec.record is not None:
-                ctype, rec_len, offset, chunk = spec.record
-                if offset == 0:
-                    if rec_len > MAX_HEADER_RECORD_LEN:
-                        raise RecordTooLargeError(
-                            f"connection {idx} ({client[0]}:{client[1]}-{server[0]}:{server[1]}): record of "
-                            f"{rec_len} bytes exceeds the {MAX_HEADER_RECORD_LEN} a TLS record header can state"
-                        )
-                    header = bytes([ctype, 3, 3, (rec_len >> 8) & 0xFF, rec_len & 0xFF])
-                    current_blob = header + ciphertext[cipher_pos : cipher_pos + rec_len]
-                    cipher_pos += 4 * ((rec_len + 3) // 4)
-                payload = current_blob[offset : offset + chunk]
-            if spec.flags & SYN and not spec.from_client:
-                ack = seqs[True]
-            elif spec.flags == SYN:
-                ack = 0
+        client_seq, server_seq = 1000, 2000
+        for ts, from_client, flags, ctype, rec_len in flights:
+            if ctype:
+                if rec_len > MAX_HEADER_RECORD_LEN:
+                    raise RecordTooLargeError(
+                        f"connection {idx} ({client_ip}:{client_port}-{server_ip}:{server_port}): record of "
+                        f"{rec_len} bytes exceeds the {MAX_HEADER_RECORD_LEN} a TLS record header can state"
+                    )
+                header = _TLS_RECORD_HEADER.pack(ctype, 0x0303, rec_len)
+                blob = header + ciphertext[cipher_pos : cipher_pos + rec_len]
+                cipher_pos += 4 * ((rec_len + 3) // 4)
+                layout = _chunk_layout(rec_len, cfg.mss)
             else:
-                ack = seqs[not spec.from_client]
-            frame = build_frame(
-                src[0], dst[0], src[1], dst[1], seqs[spec.from_client], ack, spec.flags, payload, ip_id
-            )
-            ip_id += 1
-            if spec.flags & SYN or spec.flags & FIN:
-                seqs[spec.from_client] += 1
-            seqs[spec.from_client] += len(payload)
-            entries.append((spec.ts, len(entries), frame))
+                blob, layout = b"", _BARE_LAYOUT
+            # SYN and FIN take one sequence number each
+            step = 1 if flags & (SYN | FIN) else 0
+            for start, end in layout:
+                payload = blob[start:end]
+                if from_client:
+                    ack = 0 if flags == SYN else server_seq
+                    frame = build_frame(
+                        client_ip, server_ip, client_port, server_port, client_seq, ack, flags, payload, ip_id
+                    )
+                    client_seq += step + len(payload)
+                else:
+                    frame = build_frame(
+                        server_ip, client_ip, server_port, client_port, server_seq, client_seq, flags, payload, ip_id
+                    )
+                    server_seq += step + len(payload)
+                entries.append((ts, ip_id, frame))
+                ip_id += 1
     # (timestamp, emission order) is unique, so the frames are never compared.
     entries.sort()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
-        writer = PcapWriter(fh)
+        write_packet = PcapWriter(fh).write_packet
         for ts, _order, frame in entries:
-            writer.write_packet(ts, frame)
+            write_packet(ts, frame)

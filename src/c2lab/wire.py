@@ -16,6 +16,13 @@ from typing import BinaryIO, Iterator
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_MAGIC_SWAPPED = 0xD4C3B2A1
+# Capture formats read_packets names rather than reads, by their magic
+# number read little-endian: pcapng's is the same in either byte order.
+_OTHER_FORMATS = {
+    0x0A0D0D0A: "pcapng",
+    0xA1B23C4D: "nanosecond pcap",
+    0x4D3CB2A1: "nanosecond pcap",
+}
 LINKTYPE_ETHERNET = 1
 GLOBAL_HEADER_FMT = "<IHHiIII"
 PACKET_HEADER_FMT = "<IIII"
@@ -152,6 +159,15 @@ _IP_FIELDS = struct.Struct("!B1xH5xB2x4s4s")
 # Ports, sequence number, data offset and flags of a TCP header.
 _TCP_FIELDS = struct.Struct("!HHI4xBB")
 _ETHERTYPE_IPV4_BYTES = struct.pack("!H", ETHERTYPE_IPV4)
+# The ethertype and the fields of both structs above, at their offsets in a
+# frame whose IPv4 header has no options: one unpack for the common frame.
+_FRAME_FIELDS = struct.Struct("!12xHB1xH5xB2x8sHHI4xBB")
+_PLAIN_HEADERS_LEN = ETH_LEN + IP_LEN + TCP_LEN
+
+
+@lru_cache(maxsize=4096)
+def _unpack_ip_pair(raw: bytes) -> tuple[str, str]:
+    return _unpack_ip(raw[:4]), _unpack_ip(raw[4:])
 
 
 def parse_frame(frame: bytes) -> ParsedSegment | None:
@@ -160,6 +176,26 @@ def parse_frame(frame: bytes) -> ParsedSegment | None:
     Returns None for anything that is not IPv4/TCP; the caller counts those.
     Raises PcapFormatError on structurally broken IPv4/TCP headers.
     """
+    if len(frame) >= _PLAIN_HEADERS_LEN:
+        ethertype, ver_ihl, total_len, proto, addrs, src_port, dst_port, seq, data_off, flags = (
+            _FRAME_FIELDS.unpack_from(frame)
+        )
+        if ethertype == ETHERTYPE_IPV4 and ver_ihl == _VERSION_IHL:
+            # The checks of the general path below, in its order, for a
+            # 20-byte IPv4 header with a whole TCP header behind it.
+            if proto != IP_PROTO_TCP:
+                return None
+            if total_len < IP_LEN + TCP_LEN:
+                raise PcapFormatError("truncated TCP header")
+            data_off = (data_off >> 4) * 4
+            if data_off < TCP_LEN:
+                raise PcapFormatError("bad TCP data offset")
+            payload_start = ETH_LEN + IP_LEN + data_off
+            payload_end = ETH_LEN + total_len
+            if payload_end > len(frame) or payload_start > payload_end:
+                raise PcapFormatError("TCP payload extends past frame")
+            src_ip, dst_ip = _unpack_ip_pair(addrs)
+            return ParsedSegment(src_ip, dst_ip, src_port, dst_port, seq, flags, frame[payload_start:payload_end])
     if len(frame) < ETH_LEN or frame[12:14] != _ETHERTYPE_IPV4_BYTES:
         return None
     if len(frame) < ETH_LEN + IP_LEN:
@@ -203,12 +239,12 @@ class PcapWriter:
         if timestamp < 0:
             raise ValueError("pcap timestamps cannot be negative")
         ts_sec = int(timestamp)
-        ts_usec = int(round((timestamp - ts_sec) * 1_000_000))
+        ts_usec = round((timestamp - ts_sec) * 1_000_000)
         if ts_usec >= 1_000_000:
             ts_sec += 1
             ts_usec -= 1_000_000
-        self._fh.write(_PACKET_HEADER.pack(ts_sec, ts_usec, len(frame), len(frame)))
-        self._fh.write(frame)
+        n = len(frame)
+        self._fh.write(_PACKET_HEADER.pack(ts_sec, ts_usec, n, n) + frame)
 
 
 def read_packets(path: str | Path) -> Iterator[tuple[float, bytes]]:
@@ -225,6 +261,11 @@ def read_packets(path: str | Path) -> Iterator[tuple[float, bytes]]:
             endian = "<"
         elif magic_le == PCAP_MAGIC_SWAPPED:
             endian = ">"
+        elif magic_le in _OTHER_FORMATS:
+            raise PcapFormatError(
+                f"{_OTHER_FORMATS[magic_le]} capture (magic 0x{magic_le:08x}): only classic microsecond "
+                "pcap is read; editcap -F pcap converts it"
+            )
         else:
             raise PcapFormatError(f"unrecognized magic 0x{magic_le:08x}")
         _magic, vmaj, _vmin, _tz, _sf, _snap, network = struct.unpack(endian + "IHHiIII", head)
@@ -233,18 +274,19 @@ def read_packets(path: str | Path) -> Iterator[tuple[float, bytes]]:
         if network != LINKTYPE_ETHERNET:
             raise PcapFormatError(f"unsupported link type {network}")
         packet_header = struct.Struct(endian + "IIII")
+        header_len, unpack, read = packet_header.size, packet_header.unpack, fh.read
         for index in count():
-            hdr = fh.read(packet_header.size)
+            hdr = read(header_len)
             if not hdr:
                 return
-            if len(hdr) < packet_header.size:
-                raise PcapFormatError("truncated packet header at end of file")
-            ts_sec, ts_usec, incl_len, orig_len = packet_header.unpack(hdr)
+            if len(hdr) < header_len:
+                raise PcapFormatError(f"packet {index}: truncated packet header at end of file")
+            ts_sec, ts_usec, incl_len, orig_len = unpack(hdr)
             if ts_usec >= 1_000_000:
                 raise PcapFormatError(f"packet {index}: microseconds field {ts_usec} is not below 1000000")
             if incl_len > orig_len or incl_len > 0x40000:
-                raise PcapFormatError(f"implausible capture length {incl_len}")
-            frame = fh.read(incl_len)
+                raise PcapFormatError(f"packet {index}: implausible capture length {incl_len}")
+            frame = read(incl_len)
             if len(frame) < incl_len:
-                raise PcapFormatError("truncated packet body at end of file")
+                raise PcapFormatError(f"packet {index}: truncated packet body at end of file")
             yield ts_sec + ts_usec / 1_000_000, frame

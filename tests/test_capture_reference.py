@@ -180,7 +180,10 @@ def reference_read_pcap(path):
     segments = []
     for index, (timestamp, frame) in enumerate(read_packets(path)):
         counters.frames_total += 1
-        parsed = reference_parse_frame(frame)
+        try:
+            parsed = reference_parse_frame(frame)
+        except PcapFormatError as exc:
+            raise PcapFormatError(f"packet {index}: {exc}") from None
         if parsed is None:
             counters.frames_skipped += 1
             continue
@@ -305,9 +308,13 @@ def _duplicated(packets):
     return out
 
 
+def _first_data_index(packets) -> int:
+    return next(i for i, (_ts, frame) in enumerate(packets) if _is_data(frame))
+
+
 def _snapped(packets):
     # one data frame cut short, as a small snap length would leave it
-    i = next(i for i, (_ts, frame) in enumerate(packets) if _is_data(frame))
+    i = _first_data_index(packets)
     ts, frame = packets[i]
     return packets[:i] + [(ts, frame[:60])] + packets[i + 1 :]
 
@@ -344,7 +351,7 @@ def test_extraction_matches_reference(tmp_path, mix_packets, mutation):
     fast, ref = _extract_both(path)
     assert fast == ref
     if mutation == "snapped-frame":
-        assert fast == ("error", "TCP payload extends past frame")
+        assert fast == ("error", f"packet {_first_data_index(mix_packets)}: TCP payload extends past frame")
         return
     traces, counters = fast
     if mutation == "well-formed":
@@ -372,6 +379,98 @@ def test_extraction_matches_reference_on_random_damage(tmp_path_factory, mix_pac
     path = _write(tmp_path_factory.mktemp("damage") / "d.pcap", packets)
     fast, ref = _extract_both(path)
     assert fast == ref
+
+
+# Header bytes by field, as offsets into an emitted frame: Ethernet type, IPv4
+# version/IHL, total length and protocol, TCP data offset, and the TLS record
+# header that starts a record's first frame.
+HEADER_FIELDS = {
+    "ethertype": (12, 13),
+    "version/IHL": (14,),
+    "total length": (16, 17),
+    "protocol": (23,),
+    "data offset": (46,),
+    "TLS record header": (54, 55, 56, 57, 58),
+}
+
+
+@st.composite
+def header_damage(draw, frame: bytes) -> bytes:
+    """Up to 4 header bytes of a frame overwritten or bit-flipped.
+
+    The total length is overwritten as one 16-bit value, often a small one,
+    so that lengths below the IPv4 and TCP headers' 40 bytes come up.
+    """
+    damaged = bytearray(frame)
+    budget = draw(st.integers(1, 4))
+    while budget > 0:
+        offsets = HEADER_FIELDS[draw(st.sampled_from(sorted(HEADER_FIELDS)))]
+        if offsets == HEADER_FIELDS["total length"] and budget >= 2 and draw(st.booleans()):
+            struct.pack_into("!H", damaged, offsets[0], draw(st.integers(0, 64) | st.integers(0, 0xFFFF)))
+            budget -= 2
+            continue
+        budget -= 1
+        offset = draw(st.sampled_from(offsets))
+        if offset >= len(damaged):  # a bare frame has no TLS header
+            continue
+        if draw(st.booleans()):
+            damaged[offset] ^= 1 << draw(st.integers(0, 7))
+        else:
+            damaged[offset] = draw(st.integers(0, 255))
+    return bytes(damaged)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_extraction_matches_reference_on_header_damage(tmp_path_factory, mix_packets, data):
+    packets = list(mix_packets)
+    for i in data.draw(st.sets(st.integers(0, len(packets) - 1), min_size=1, max_size=3)):
+        packets[i] = (packets[i][0], data.draw(header_damage(packets[i][1])))
+    path = _write(tmp_path_factory.mktemp("headers") / "h.pcap", packets)
+    # _extract_both catches PcapFormatError only: any other exception fails
+    fast, ref = _extract_both(path)
+    assert fast == ref
+
+
+# ---------------------------------------------------------------------------
+# records on MSS chunk boundaries
+
+
+def test_chunk_boundary_records_emit_like_the_reference(tmp_path):
+    cfg = SimConfig(seed=9)
+    mss = cfg.mss
+    # record plus its 5-byte header: one byte short of a frame, a frame, one
+    # byte over, two frames, three frames and a byte
+    totals = [mss - 1, mss, mss + 1, 2 * mss, 3 * mss + 1]
+    conns = [
+        ((1.0 + i, Direction.PAYLOAD_TO_FRAMEWORK, total - 5), (1.2 + i, Direction.FRAMEWORK_TO_PAYLOAD, total - 5))
+        for i, total in enumerate(totals)
+    ]
+    # and all five in one connection, alternating directions
+    directions = (Direction.PAYLOAD_TO_FRAMEWORK, Direction.FRAMEWORK_TO_PAYLOAD)
+    conns.append(tuple((3.0 + 0.1 * j, directions[j % 2], total - 5) for j, total in enumerate(totals)))
+    emit_pcap(tmp_path / "fast.pcap", conns, cfg, seed=9)
+    reference_emit_pcap(tmp_path / "ref.pcap", conns, cfg, seed=9)
+    assert _sha(tmp_path / "fast.pcap") == _sha(tmp_path / "ref.pcap")
+
+    frames = _packets(tmp_path / "fast.pcap")
+    assert len(frames) == sum(len(conn_frame_plan(records, cfg)) for records in conns)
+    # independent of the chunk layout: 5 bare frames, and ceil(total / mss) per record
+    handshake = sum(-(-(5 + n) // mss) for n in sim._handshake_record_lens(cfg.handshake_wire_bytes, mss))
+    assert len(frames) == sum(5 + handshake + sum(-(-(5 + r[2]) // mss) for r in records) for records in conns)
+    wire_bytes = {}
+    for _ts, frame in frames:
+        parsed = wire.parse_frame(frame)
+        assert len(parsed.payload) <= mss
+        client = parsed.dst_port if parsed.src_port == 443 else parsed.src_port
+        wire_bytes[client] = wire_bytes.get(client, 0) + len(frame)
+    assert [wire_bytes[40000 + idx] for idx in range(len(conns))] == [
+        sim.conn_wire_bytes(records, cfg) for records in conns
+    ]
+    traces, counters = extract.traces_from_pcap(tmp_path / "fast.pcap")
+    assert counters == ExtractionCounters(frames_total=len(frames))
+    sizes = {t.connection_id: [r.size for r in t.records] for t in traces}
+    assert sizes == {f"10.0.0.1:{40000 + idx}-10.8.0.2:443": [r[2] for r in records] for idx, records in enumerate(conns)}
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,20 @@ def _assert_one_line_error(capsys, *fragments):
         assert fragment in err
 
 
+@pytest.mark.parametrize(
+    "magic, fmt",
+    [(b"\x0a\x0d\x0d\x0a", "pcapng"), (b"\x4d\x3c\xb2\xa1", "nanosecond pcap"), (b"\xa1\xb2\x3c\x4d", "nanosecond pcap")],
+)
+def test_extract_other_capture_format_exits_2_naming_it(tmp_path, capsys, magic, fmt):
+    pcap = tmp_path / "capture"
+    pcap.write_bytes(magic + b"\x00" * 60)
+    out = tmp_path / "x.csv"
+    rc = main(["extract", "--pcap", str(pcap), "--out", str(out), "--label", "c2", "--provenance", "regular"])
+    assert rc == 2
+    _assert_one_line_error(capsys, f"{fmt} capture", "only classic microsecond pcap is read")
+    assert not out.exists()
+
+
 def test_bad_detector_exits_2_without_traceback(tmp_path, capsys):
     model = tmp_path / "bad.bin"
     model.write_bytes(b"\x05\x00\x00\x00{oops")

@@ -11,6 +11,7 @@ from c2lab.extract import (
     SegmentRecord,
     TcpStreamKey,
     parse_tls_records,
+    read_pcap,
     reassemble,
     traces_from_pcap,
 )
@@ -23,7 +24,7 @@ from c2lab.sim import (
     generate_c2_traces,
     generate_web_traces,
 )
-from c2lab.wire import ACK, PSH, SYN, PcapFormatError, parse_frame, read_packets
+from c2lab.wire import ACK, PSH, SYN, PcapFormatError, PcapWriter, build_frame, parse_frame, read_packets
 
 CLIENT = ("10.0.0.1", 40001)
 SERVER = ("10.8.0.2", 443)
@@ -236,3 +237,43 @@ def test_emit_refuses_a_record_its_length_field_cannot_state(tmp_path, size):
     with pytest.raises(RecordTooLargeError, match=re.escape(f"connection 1 ({_conn_id(1)})") + f".* {size} bytes"):
         emit_pcap(path, [ok, big], SimConfig(seed=8), seed=1)
     assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# a frame parse_frame rejects is named by its 0-based packet index
+
+
+def _set(frame: bytes, offset: int, value: bytes) -> bytes:
+    return frame[:offset] + value + frame[offset + len(value) :]
+
+
+def _data_frame() -> bytes:
+    return build_frame(CLIENT[0], SERVER[0], CLIENT[1], SERVER[1], 1001, 2001, PSH | ACK, b"\x17\x03\x03" + b"\x00" * 40)
+
+
+BROKEN_FRAMES = {
+    "truncated IPv4 header": lambda f: f[:30],
+    "bad IPv4 header length": lambda f: _set(f, 14, b"\x44"),
+    # cut inside the TCP header, and a total length too short for one
+    "truncated TCP header": lambda f: f[:50],
+    "truncated TCP header (total length)": lambda f: _set(f, 16, b"\x00\x24"),
+    "bad TCP data offset": lambda f: _set(f, 46, b"\x40"),
+    "TCP payload extends past frame": lambda f: f[:60],
+}
+
+
+@pytest.mark.parametrize("damage", sorted(BROKEN_FRAMES))
+@pytest.mark.parametrize("position", [0, 3])
+def test_rejected_frame_names_its_packet(tmp_path, damage, position):
+    frames = [_data_frame() for _ in range(4)]
+    frames[position] = BROKEN_FRAMES[damage](frames[position])
+    path = tmp_path / "broken.pcap"
+    with open(path, "wb") as fh:
+        writer = PcapWriter(fh)
+        for i, frame in enumerate(frames):
+            writer.write_packet(1.0 + i, frame)
+    message = damage.split(" (")[0]
+    with pytest.raises(PcapFormatError, match=f"^packet {position}: {re.escape(message)}$"):
+        read_pcap(path)
+    with pytest.raises(PcapFormatError, match=f"^packet {position}: {re.escape(message)}$"):
+        traces_from_pcap(path)

@@ -182,3 +182,64 @@ def test_pcap_rejects_out_of_range_microseconds(tmp_path, endian, usec):
 def test_pcap_accepts_largest_microseconds(tmp_path):
     (ts, _frame), = read_packets(_pcap_with_usec(tmp_path, [999_999]))
     assert ts == pytest.approx(3.999999)
+
+
+# ---------------------------------------------------------------------------
+# every capture-level error names its packet, 0-based
+
+
+def _pcap_bytes(n_packets: int) -> bytes:
+    buf = io.BytesIO()
+    writer = PcapWriter(buf)
+    for i in range(n_packets):
+        writer.write_packet(1.0 + i, build_frame("10.0.0.1", "10.8.0.2", 40000, 443, 1 + i, 2, ACK))
+    return buf.getvalue()
+
+
+def _damaged_tail(tmp_path, tail: bytes):
+    # two whole packets, then the damage as packet 2
+    path = tmp_path / "damaged.pcap"
+    path.write_bytes(_pcap_bytes(2) + tail)
+    return path
+
+
+def test_truncated_packet_header_names_its_packet(tmp_path):
+    path = _damaged_tail(tmp_path, struct.pack("<II", 3, 0))
+    with pytest.raises(PcapFormatError, match=r"^packet 2: truncated packet header at end of file$"):
+        list(read_packets(path))
+
+
+@pytest.mark.parametrize("incl_len, orig_len", [(60, 54), (0x40001, 0x40001)])
+def test_implausible_capture_length_names_its_packet(tmp_path, incl_len, orig_len):
+    path = _damaged_tail(tmp_path, struct.pack("<IIII", 3, 0, incl_len, orig_len) + b"\x00" * 60)
+    with pytest.raises(PcapFormatError, match=rf"^packet 2: implausible capture length {incl_len}$"):
+        list(read_packets(path))
+
+
+def test_truncated_packet_body_names_its_packet(tmp_path):
+    path = tmp_path / "trunc.pcap"
+    path.write_bytes(_pcap_bytes(3)[:-3])
+    with pytest.raises(PcapFormatError, match=r"^packet 2: truncated packet body at end of file$"):
+        list(read_packets(path))
+
+
+# ---------------------------------------------------------------------------
+# capture formats other than classic microsecond pcap fail by name
+
+OTHER_FORMAT_HEADERS = {
+    # a pcapng section header block starts with its block type
+    "pcapng": (b"\x0a\x0d\x0d\x0a" + struct.pack("<II", 28, 0x1A2B3C4D) + b"\x00" * 16, 0x0A0D0D0A),
+    "nanosecond-le": (struct.pack("<IHHiIII", 0xA1B23C4D, 2, 4, 0, 0, 65535, 1), 0xA1B23C4D),
+    "nanosecond-be": (struct.pack(">IHHiIII", 0xA1B23C4D, 2, 4, 0, 0, 65535, 1), 0x4D3CB2A1),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(OTHER_FORMAT_HEADERS))
+def test_other_capture_formats_fail_by_name(tmp_path, fmt):
+    head, magic = OTHER_FORMAT_HEADERS[fmt]
+    path = tmp_path / f"{fmt}.cap"
+    path.write_bytes(head + b"\x00" * 32)
+    name = "pcapng" if fmt == "pcapng" else "nanosecond pcap"
+    expected = f"{name} capture (magic 0x{magic:08x}): only classic microsecond pcap is read"
+    with pytest.raises(PcapFormatError, match="^" + re.escape(expected)):
+        list(read_packets(path))

@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of perfbench runs, summarized as one JSON file.
+
+Runs the unchanged ``perfbench/run.py --trace 0`` of two checkouts, one
+after the other, for each workload, seed and pair, alternating which side
+runs first. Each side runs its own ``perfbench/run.py`` from its own
+directory, so each measures its own ``src/``. Run from anywhere:
+
+    python3 tools/bench_pairs.py --parent ../parent-checkout \\
+        --workload capture-roundtrip --seeds 1 2 --pairs 10 --seconds 30 \\
+        --out BENCH.json
+
+The output holds, per workload and seed, each side's median, q1 and q3 of
+every end-to-end metric, its pass counts and failed checks, the ``env``
+line of its first run, and how many pairs the change won per metric
+(``better`` taken from the change's BENCHMARK.json). Every run's values are
+kept too, so a summary can be recomputed. If --out exists, its other
+workloads and seeds are kept, so workloads can be run with different
+seeds and pair counts into one file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+PASSES = re.compile(r"^passes: (\d+) untraced, (\d+) traced$")
+
+
+def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run: its result, env line, pass count and failed checks."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.splitlines()
+    if done.returncode != 0 or not lines:
+        raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {done.returncode}\n{done.stderr[-2000:]}")
+    run = {"result": json.loads(lines[-1]), "env": None, "passes": None, "failed_checks": []}
+    for line in lines[:-1]:
+        if line.startswith("env "):
+            run["env"] = json.loads(line[4:])
+        elif line.startswith("failed: "):
+            run["failed_checks"].append(line[8:])
+        elif match := PASSES.match(line):
+            run["passes"] = int(match.group(1))
+    return run
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0], "n": len(values)}
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    sides = {}
+    for side in ("parent", "change"):
+        runs = [pair[side] for pair in pairs]
+        metrics = {}
+        for name in better:
+            values = [run["result"]["metrics"][name]["value"] for run in runs if name in run["result"]["metrics"]]
+            if values:
+                metrics[name] = quartiles(values) | {"values": values}
+        sides[side] = {
+            "metrics": metrics,
+            "passes": [run["passes"] for run in runs],
+            "failed_checks": sorted({name for run in runs for name in run["failed_checks"]}),
+            "failed_runs": sum(not run["result"]["correct"] for run in runs),
+            "env": runs[0]["env"],
+        }
+    wins = {}
+    for name, direction in better.items():
+        won = 0
+        for pair in pairs:
+            old = pair["parent"]["result"]["metrics"].get(name, {}).get("value")
+            new = pair["change"]["result"]["metrics"].get(name, {}).get("value")
+            if old is not None and new is not None and new != old:
+                won += (new < old) == (direction == "lower")
+        wins[name] = won
+    return {"sides": sides, "change_wins": wins, "pairs": len(pairs), "first": [pair["first"] for pair in pairs]}
+
+
+def git_state(checkout: Path) -> dict:
+    """HEAD of a checkout, and whether its src/ differs from HEAD."""
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
+    status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=checkout, capture_output=True, text=True)
+    if head.returncode != 0:
+        return {"commit": None, "src_modified": None}
+    return {"commit": head.stdout.strip(), "src_modified": bool(status.stdout.strip())}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, default=HERE, help="checkout of the change (default: this one)")
+    parser.add_argument("--workload", action="append", required=True, help="repeat for several workloads")
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+
+    report = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
+    report["commits"] = {side: git_state(path) for side, path in checkouts.items()}
+    for workload in args.workload:
+        per_seed = report["workloads"].setdefault(workload, {})
+        for seed in args.seeds:
+            pairs = []
+            for index in range(args.pairs):
+                order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+                pair = {"first": order[0]}
+                for side in order:
+                    pair[side] = run_side(checkouts[side], workload, seed, args.seconds)
+                    wall = pair[side]["result"]["metrics"]["wall_s"]["value"]
+                    print(f"{workload} seed {seed} pair {index} {side}: wall_s {wall:.4f}", flush=True)
+                pairs.append(pair)
+            per_seed[str(seed)] = summarize(pairs, better) | {"seconds": args.seconds}
+            args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
