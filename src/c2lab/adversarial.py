@@ -12,10 +12,8 @@ is allowed to stuff.
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -64,34 +62,19 @@ class FgsmConfig:
         return (MAX_RECORD_SIZE // self.size_model.block_len) * self.size_model.block_len
 
 
-# Sign matrices kept by _gradient_signs; a report sweep needs two at a time.
-_SIGN_CACHE_SIZE = 4
-_sign_cache: OrderedDict[bytes, np.ndarray] = OrderedDict()
-
-
 def _gradient_signs(params: DetectorParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Read-only np.sign of the input gradient of raw rows x under labels y.
 
     Neither epsilon nor a side mask enters the gradient, so the builds of one
-    sweep share it. Entries are keyed on content: training updates parameters
-    in place, so an identity key could return a stale detector's signs. An
-    exact row set keys each entry, and a hit returns the very array a cold
-    call computed.
+    sweep share it through the detector's sign_memo. An exact row set keys
+    each entry, and a hit returns the very array a cold call computed.
     """
-    arrays = (*params.weights, *params.biases, x, y)
-    digest = hashlib.sha256(repr((params.norm_scale, [(a.shape, a.dtype.str) for a in arrays])).encode())
-    for a in arrays:
-        digest.update(np.ascontiguousarray(a))
-    key = digest.digest()
-    signs = _sign_cache.get(key)
-    if signs is not None:
-        _sign_cache.move_to_end(key)
-        return signs
-    signs = np.sign(np.atleast_2d(input_gradient(params, normalize(x, params.norm_scale), y)))
-    signs.flags.writeable = False
-    _sign_cache[key] = signs
-    if len(_sign_cache) > _SIGN_CACHE_SIZE:
-        _sign_cache.popitem(last=False)
+    key = (params.norm_scale, x.shape, x.tobytes(), y.tobytes())
+    signs = params.sign_memo.get(key)
+    if signs is None:
+        signs = np.sign(np.atleast_2d(input_gradient(params, normalize(x, params.norm_scale), y)))
+        signs.flags.writeable = False
+        params.sign_memo[key] = signs
     return signs
 
 

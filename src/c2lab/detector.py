@@ -15,13 +15,13 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .model import Dataset, FeatureVector, Label, MAX_RECORD_SIZE, check_int
+from .model import FEATURE_LEN, Dataset, FeatureVector, Label, MAX_RECORD_SIZE, check_int
 
 NORM_SCALE = float(MAX_RECORD_SIZE)
 CLASS_ORDER = (Label.C2, Label.NON_C2)
@@ -84,11 +84,18 @@ class TrainConfig:
 
 @dataclass
 class DetectorParams:
-    """Weights and biases, first hidden layer to output."""
+    """Weights and biases, first hidden layer to output.
+
+    sign_memo holds the FGSM sign matrices computed on this detector (see
+    adversarial._gradient_signs). They stay valid while the arrays do not
+    change: train and load return read-only arrays, and copy() starts with
+    an empty memo.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     norm_scale: float = NORM_SCALE
+    sign_memo: dict[tuple, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -101,11 +108,17 @@ class DetectorParams:
             self.norm_scale,
         )
 
+    def read_only(self) -> "DetectorParams":
+        """Mark every weight and bias read-only, so nothing memoized on them goes stale; returns self."""
+        for a in (*self.weights, *self.biases):
+            a.flags.writeable = False
+        return self
+
     @classmethod
     def initialize(
         cls,
         rng: np.random.Generator,
-        input_len: int = 20,
+        input_len: int = FEATURE_LEN,
         hidden_sizes: Sequence[int] = (2048, 1024, 512),
         dtype: str = "float32",
     ) -> "DetectorParams":
@@ -164,9 +177,12 @@ class DetectorParams:
             pos += w.nbytes
             b = np.frombuffer(data, dtype=stored, count=fan_out, offset=pos)
             pos += b.nbytes
+            for tensor, values in (("weights", w), ("biases", b)):
+                if not np.isfinite(values).all():
+                    raise ValueError(f"{path}: layer {len(weights)} {tensor} hold a non-finite value")
             weights.append(w.reshape(fan_in, fan_out).astype(dt))
             biases.append(b.astype(dt))
-        return cls(weights, biases, float(norm_scale))
+        return cls(weights, biases, float(norm_scale)).read_only()
 
 
 def _header_fields(path, header) -> tuple[list[int], list[np.dtype], float]:
@@ -181,6 +197,15 @@ def _header_fields(path, header) -> tuple[list[int], list[np.dtype], float]:
         raise ValueError(f"{path}: layer_sizes must list at least two integers >= 1, got {sizes!r}")
     for i, n in enumerate(sizes):
         check_int(f"{path}: layer_sizes[{i}]", n, 1)
+    if sizes[0] != FEATURE_LEN:
+        raise ValueError(
+            f"{path}: layer_sizes[0] is {sizes[0]}, but layer 0 weights take one input per feature ({FEATURE_LEN})"
+        )
+    if sizes[-1] != len(CLASS_ORDER):
+        raise ValueError(
+            f"{path}: layer_sizes[-1] is {sizes[-1]}, but layer {len(sizes) - 2} weights give one output "
+            f"per class ({len(CLASS_ORDER)})"
+        )
     if not isinstance(names, list) or len(names) != len(sizes) - 1:
         raise ValueError(f"{path}: dtypes must name one dtype for each of {len(sizes) - 1} layers, got {names!r}")
     dtypes = []
@@ -395,7 +420,7 @@ def train_arrays(x_raw: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple
     n_val = max(1, int(n * config.val_fraction))
     val_idx, train_idx = order[:n_val], order[n_val:]
     x_tr, y_tr = x[train_idx], y[train_idx]
-    x_val, y_val = x[val_idx], y[val_idx]
+    x_val, y_val = x[val_idx].astype(np.float64), y[val_idx]
 
     params = DetectorParams.initialize(
         init_rng, input_len=x.shape[1], hidden_sizes=tuple(config.hidden_sizes)
@@ -417,12 +442,13 @@ def train_arrays(x_raw: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple
             batch_losses.append(cross_entropy(logits, yb))
             grads_w, grads_b = _backward(params, cache, logits, yb)
             _adam_step(params, state, grads_w, grads_b, config)
-        val_pred = _classes(forward(params, x_val))
+        # one float64 pass, the same ops as loss_on, scores the validation slice
+        val_logits = _forward_core(_float64(params), x_val)
         entry = {
             "epoch": epoch,
             "train_loss": float(np.mean(batch_losses)),
-            "val_loss": loss_on(params, x_val, y_val),
-            "val_accuracy": float(np.mean(val_pred == y_val)),
+            "val_loss": cross_entropy(val_logits, y_val),
+            "val_accuracy": float(np.mean(_classes(_softmax(val_logits)) == y_val)),
         }
         history.append(entry)
         if entry["val_loss"] < best_val - 1e-5:
@@ -433,7 +459,7 @@ def train_arrays(x_raw: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple
             strikes += 1
             if strikes >= config.patience:
                 break
-    return best_params, history
+    return best_params.read_only(), history
 
 
 def _adam_step(params, state, grads_w, grads_b, config: TrainConfig) -> None:

@@ -371,14 +371,13 @@ class _RowDraws:
     """Uniform library rows for one session, drawn from rng in blocks.
 
     A run of draws yields the same values however it is split into calls,
-    so the rows equal one-at-a-time draws. finish() puts rng in the state
-    that drawing exactly the rows taken, one at a time, leaves it in.
+    so the rows equal one-at-a-time draws. The rng ends past the whole
+    block; nothing draws from it after the session's plans are scheduled.
     """
 
     def __init__(self, rng: np.random.Generator, n_plans: int):
         self.rng = rng
         self.n_plans = n_plans
-        self.start = rng.bit_generator.state
         self.rows: list[int] = []
         self.taken = 0
 
@@ -387,10 +386,6 @@ class _RowDraws:
             self.rows += self.rng.integers(self.n_plans, size=DRAW_BLOCK).tolist()
         self.taken += n
         return self.rows[self.taken - n : self.taken]
-
-    def finish(self) -> None:
-        self.rng.bit_generator.state = self.start
-        self.rng.integers(self.n_plans, size=self.taken)
 
 
 def _draw_candidates(index: PlanIndex, remaining: int, draws: _RowDraws) -> list[int]:
@@ -451,7 +446,6 @@ def _schedule_plans(events: list[tuple], mode: Adversarial, plan_rng: np.random.
         took = min(best.n_exchanges, remaining)
         remaining -= took
         cursor += took
-    draws.finish()
     return plans
 
 

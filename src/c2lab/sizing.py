@@ -42,9 +42,6 @@ class TlsSizeModel:
         """Smallest length field any record can carry (empty plaintext)."""
         return self.framed_size(0)
 
-    def on_grid(self, framed: int) -> bool:
-        return framed >= self.min_framed_size() and framed % self.block_len == 0
-
     def snap(self, framed):
         """Round a size, or an array of sizes, onto the achievable record-size grid.
 

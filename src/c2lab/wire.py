@@ -58,17 +58,6 @@ class ParsedSegment:
     payload: bytes
 
 
-def ipv4_checksum(header: bytes) -> int:
-    if len(header) % 2:
-        header += b"\x00"
-    total = 0
-    for i in range(0, len(header), 2):
-        total += (header[i] << 8) | header[i + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
-
-
 def _pack_ip(ip: str) -> bytes:
     """Pack a dotted quad written the way parse_frame gives it back.
 

@@ -22,8 +22,9 @@ from c2lab.adversarial import (
     stuff_amount,
 )
 from c2lab.harness import ExperimentConfig, craft_libraries
-from c2lab.model import Direction, FeatureVector, Label, LabeledSample, PAD_VALUE, Provenance
+from c2lab.model import Dataset, Direction, FeatureVector, Label, LabeledSample, PAD_VALUE, Provenance
 from c2lab.sizing import TlsSizeModel
+from oracles import on_grid
 
 
 def params_fixture(seed=0):
@@ -137,7 +138,7 @@ def test_fgsm_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# gradient-sign cache
+# gradient signs memoized on the detector
 
 
 def cold_signs(params, x, y):
@@ -164,42 +165,52 @@ def test_sign_cache_hit_is_the_cold_gradient_bit_for_bit(monkeypatch):
     calls = count_gradients(monkeypatch)
     first = adv._gradient_signs(params, x, y)
     assert adv._gradient_signs(params, x, y) is first
-    assert adv._gradient_signs(params.copy(), x.copy(), y.copy()) is first
+    assert adv._gradient_signs(params, x.copy(), y.copy()) is first  # keyed on the rows, not their identity
     assert calls == [12]
     assert first.tobytes() == cold_signs(params, x, y).tobytes()
     assert not first.flags.writeable
 
 
+# A detector's arrays stay fixed once FGSM has used it (trained and loaded
+# ones are read-only), so a changed net is a copy, which starts cold.
 def _bump_weight_one_ulp(params, x, y):
+    params = params.copy()
     w = params.weights[1]
-    w[0, 0] = np.nextafter(w[0, 0], np.inf)  # in place, as training updates
-    return x, y
+    w[0, 0] = np.nextafter(w[0, 0], np.inf)
+    return params, x, y
 
 
 def _bump_bias(params, x, y):
+    params = params.copy()
     params.biases[0][3] += 0.25
-    return x, y
+    return params, x, y
+
+
+def _copy(params, x, y):
+    return params.copy(), x, y
 
 
 def _rescale(params, x, y):
     params.norm_scale *= 2
-    return x, y
+    return params, x, y
 
 
 def _other_rows(params, x, y):
     x = x.copy()
     x[3, 0] += 16
-    return x, y
+    return params, x, y
 
 
 def _other_labels(params, x, y):
     y = y.copy()
     y[0] = 1
-    return x, y
+    return params, x, y
 
 
 @pytest.mark.parametrize(
-    "change", [_bump_weight_one_ulp, _bump_bias, _rescale, _other_rows, _other_labels], ids=lambda f: f.__name__[1:]
+    "change",
+    [_bump_weight_one_ulp, _bump_bias, _copy, _rescale, _other_rows, _other_labels],
+    ids=lambda f: f.__name__[1:],
 )
 def test_sign_cache_misses_on_any_change_the_gradient_depends_on(monkeypatch, change):
     params = params_fixture()
@@ -207,25 +218,25 @@ def test_sign_cache_misses_on_any_change_the_gradient_depends_on(monkeypatch, ch
     y = np.zeros(12, dtype=np.int64)
     calls = count_gradients(monkeypatch)
     adv._gradient_signs(params, x, y)
-    x, y = change(params, x, y)
+    params, x, y = change(params, x, y)
     got = adv._gradient_signs(params, x, y)
     assert calls == [12, 12]
     assert got.tobytes() == cold_signs(params, x, y).tobytes()
 
 
-def test_sign_cache_stays_bounded_and_keeps_the_recently_used(monkeypatch):
-    params = params_fixture()
-    rng = np.random.default_rng(32)
-    keep = flow_rows(rng, 3)
-    y = np.zeros(3, dtype=np.int64)
-    calls = count_gradients(monkeypatch)
-    adv._gradient_signs(params, keep, y)
-    for _ in range(3 * adv._SIGN_CACHE_SIZE):
-        adv._gradient_signs(params, flow_rows(rng, 3), y)
-        adv._gradient_signs(params, keep, y)  # a hit refreshes the entry
-        assert len(adv._sign_cache) <= adv._SIGN_CACHE_SIZE
-    assert len(adv._sign_cache) == adv._SIGN_CACHE_SIZE
-    assert len(calls) == 1 + 3 * adv._SIGN_CACHE_SIZE
+def test_trained_and_loaded_detectors_are_read_only(tmp_path):
+    samples = _samples_from_rows(flow_rows(np.random.default_rng(35), 12))
+    samples += [LabeledSample(s.features, Label.NON_C2, Provenance.WEB) for s in samples[:6]]
+    trained, _ = det.train(Dataset(samples, 0), det.TrainConfig(hidden_sizes=(8,), max_epochs=1))
+    trained.save(tmp_path / "net.bin")
+    loaded = det.DetectorParams.load(tmp_path / "net.bin")
+    for params in (trained, loaded):
+        for a in (*params.weights, *params.biases):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] += 1
+        copy = params.copy()
+        copy.weights[0][0, 0] += 1  # a copy is the detector to change
+        assert copy.sign_memo == {}
 
 
 def test_masked_step_leaves_no_edit_in_the_cache():
@@ -233,13 +244,11 @@ def test_masked_step_leaves_no_edit_in_the_cache():
     x = flow_rows(np.random.default_rng(33), 20)
     y = np.zeros(20, dtype=np.int64)
     mask = np.array([1.0, 0.0] * 10)
-    cold_masked = fgsm_raw(params, x, y, 0.05, mask=mask)
-    adv._sign_cache.clear()
-    cold_plain = fgsm_raw(params, x, y, 0.05, respect_padding=False)
-    adv._sign_cache.clear()
+    cold_masked = fgsm_raw(params.copy(), x, y, 0.05, mask=mask)
+    cold_plain = fgsm_raw(params.copy(), x, y, 0.05, respect_padding=False)
     warm_masked = fgsm_raw(params, x, y, 0.05, mask=mask)
     warm_plain = fgsm_raw(params, x, y, 0.05, respect_padding=False)
-    assert len(adv._sign_cache) == 1
+    assert len(params.sign_memo) == 1
     assert warm_masked.tobytes() == cold_masked.tobytes()
     assert warm_plain.tobytes() == cold_plain.tobytes()
 
@@ -252,12 +261,18 @@ def test_one_sweep_computes_one_gradient_per_row_set(monkeypatch):
     samples = _samples_from_rows(rows)
     ec = ExperimentConfig()
     calls = count_gradients(monkeypatch)
-    libraries = {eps: craft_libraries(ec, params, samples, eps) for eps in ec.epsilon_sweep}
+
+    def sweep(detector):
+        calls.clear()
+        return {eps: craft_libraries(ec, detector, samples, eps) for eps in ec.epsilon_sweep}, sorted(calls)
+
+    libraries, first = sweep(params)
     assert len(libraries) == 3
-    assert sorted(calls) == [40 - short, 40]
+    assert first == [40 - short, 40]
+    assert sweep(params) == (libraries, [])
+    assert sweep(params.copy()) == (libraries, [40 - short, 40])
     for eps, crafted in libraries.items():
-        adv._sign_cache.clear()
-        assert craft_libraries(ec, params, samples, eps) == crafted
+        assert craft_libraries(ec, params.copy(), samples, eps) == crafted  # each from cold gradients
 
 
 # ---------------------------------------------------------------------------
@@ -486,4 +501,4 @@ def test_projection_always_realizable(seed, epsilon):
     for row in out:
         fv = FeatureVector(tuple(row))  # padding suffix and bounds both hold
         for v in fv.sizes():
-            assert model.on_grid(v)
+            assert on_grid(model, v)

@@ -32,9 +32,9 @@ from c2lab.wire import (
     ParsedSegment,
     PcapFormatError,
     PcapWriter,
-    ipv4_checksum,
     read_packets,
 )
+from oracles import ipv4_checksum
 
 # ---------------------------------------------------------------------------
 # reference implementation

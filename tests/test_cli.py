@@ -218,6 +218,16 @@ def test_bad_detector_exits_2_without_traceback(tmp_path, capsys):
     _assert_one_line_error(capsys, str(model))
 
 
+def test_non_finite_detector_exits_2_naming_the_tensor(pipeline, tmp_path, capsys):
+    params = det.DetectorParams.load(pipeline["model"]).copy()
+    params.biases[1][5] = float("inf")
+    model = tmp_path / "inf.bin"
+    params.save(model)
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--data", str(pipeline["randreq"])]) == 2
+    _assert_one_line_error(capsys, str(model), "layer 1 biases", "non-finite")
+
+
 def test_bad_plan_library_exits_2_without_traceback(tmp_path, capsys):
     plans = tmp_path / "plans.json"
     plans.write_text(json.dumps({"version": 1, "plans": [{"n_records": 2, "targets": [[0, "payload_to_framework", 300.5]], "first_size_next_conn": None}]}))

@@ -153,6 +153,43 @@ def test_load_names_the_bad_field(tmp_path, mutate, field):
     assert field in str(excinfo.value)
 
 
+def _nineteen_inputs():
+    return det.DetectorParams.initialize(np.random.default_rng(0), input_len=19, hidden_sizes=(8, 6), dtype="float32")
+
+
+def _three_outputs():
+    params = small_params(dtype="float32")
+    rng = np.random.default_rng(1)
+    params.weights[-1] = rng.standard_normal((6, 3)).astype(np.float32)
+    params.biases[-1] = np.zeros(3, dtype=np.float32)
+    return params
+
+
+def _nan_weight():
+    params = small_params(dtype="float32")
+    params.weights[0][4, 2] = np.nan
+    return params
+
+
+@pytest.mark.parametrize(
+    "make, fragments",
+    [
+        pytest.param(_nineteen_inputs, ("layer_sizes[0] is 19", "layer 0 weights", "(20)"), id="19-inputs"),
+        pytest.param(_three_outputs, ("layer_sizes[-1] is 3", "layer 2 weights", "(2)"), id="3-outputs"),
+        pytest.param(_nan_weight, ("layer 0 weights", "non-finite"), id="nan-weight"),
+    ],
+)
+def test_load_rejects_a_saved_net_the_lab_cannot_run(tmp_path, make, fragments):
+    # each file is one DetectorParams.save writes; the lab reads 20 features and scores 2 classes
+    path = tmp_path / "net.bin"
+    make().save(path)
+    with pytest.raises(ValueError) as excinfo:
+        det.DetectorParams.load(path)
+    assert str(path) in str(excinfo.value)
+    for fragment in fragments:
+        assert fragment in str(excinfo.value)
+
+
 def _separable_dataset(n=240, seed=0):
     rng = np.random.default_rng(seed)
     samples = []

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from c2lab.sizing import TlsSizeModel
+from oracles import on_grid
 
 
 def test_known_framings():
@@ -55,17 +56,17 @@ def test_framing_general_cipher_parameters(p, tag, block):
 
 def test_grid_membership():
     m = TlsSizeModel()
-    assert m.on_grid(16)
-    assert m.on_grid(304)
-    assert not m.on_grid(15)
-    assert not m.on_grid(305)
-    assert not m.on_grid(0)  # below the smallest record
+    assert on_grid(m, 16)
+    assert on_grid(m, 304)
+    assert not on_grid(m, 15)
+    assert not on_grid(m, 305)
+    assert not on_grid(m, 0)  # below the smallest record
 
 
 @given(st.floats(min_value=-100.0, max_value=20000.0, allow_nan=False))
 def test_snap_lands_on_grid(x):
     m = TlsSizeModel()
-    assert m.on_grid(m.snap(x))
+    assert on_grid(m, m.snap(x))
 
 
 def test_snap_rounds_to_nearest_block():
@@ -89,4 +90,4 @@ def test_snap_on_an_array_is_scalar_snap_per_element(xs, tag, block):
     assert snapped.tolist() == [m.snap(x) for x in xs]
     # Python's round also takes a half block to the even count
     assert snapped.tolist() == [max(round(x / block) * block, m.min_framed_size()) for x in xs]
-    assert all(m.on_grid(v) for v in snapped.tolist())
+    assert all(on_grid(m, v) for v in snapped.tolist())

@@ -15,10 +15,10 @@ from c2lab.wire import (
     PcapFormatError,
     PcapWriter,
     build_frame,
-    ipv4_checksum,
     parse_frame,
     read_packets,
 )
+from oracles import ipv4_checksum
 
 
 def test_frame_roundtrip():

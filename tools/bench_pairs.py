@@ -13,7 +13,9 @@ directory, so each measures its own ``src/``. Run from anywhere:
 The output holds, per workload and seed, each side's median, q1 and q3 of
 every end-to-end metric, its pass counts and failed checks, the ``env``
 line of its first run, and how many pairs the change won per metric
-(``better`` taken from the change's BENCHMARK.json). Every run's values are
+(``better`` taken from the change's BENCHMARK.json). ``commits`` holds each
+side's HEAD and the sha256 of its ``src/c2lab/*.py`` (``source_sha256``), so
+an uncommitted change is told apart from its parent. Every run's values are
 kept too, so a summary can be recomputed. If --out exists, its other
 workloads and seeds are kept, so workloads can be run with different
 seeds and pair counts into one file.
@@ -22,6 +24,7 @@ seeds and pair counts into one file.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import statistics
@@ -89,13 +92,23 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return {"sides": sides, "change_wins": wins, "pairs": len(pairs), "first": [pair["first"] for pair in pairs]}
 
 
+def source_sha256(checkout: Path) -> str:
+    """sha256 of a checkout's src/c2lab/*.py, the digest perfbench/run.py's env line calls source_sha256."""
+    digest = hashlib.sha256()
+    for path in sorted((checkout / "src" / "c2lab").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def git_state(checkout: Path) -> dict:
-    """HEAD of a checkout, and whether its src/ differs from HEAD."""
+    """HEAD of a checkout, whether its src/ differs from HEAD, and the digest of
+    the package source it ran, which tells two sides apart even at one HEAD."""
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
     status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=checkout, capture_output=True, text=True)
-    if head.returncode != 0:
-        return {"commit": None, "src_modified": None}
-    return {"commit": head.stdout.strip(), "src_modified": bool(status.stdout.strip())}
+    state = {"commit": None, "src_modified": None, "source_sha256": source_sha256(checkout)}
+    if head.returncode == 0:
+        state |= {"commit": head.stdout.strip(), "src_modified": bool(status.stdout.strip())}
+    return state
 
 
 def main(argv: list[str] | None = None) -> int:
