@@ -27,7 +27,7 @@ from .harness import (
     run_overhead,
     write_predictions,
 )
-from .model import Dataset, Label, LabeledSample, Provenance, check_int, evasion_rate, features_from_trace
+from .model import Dataset, Label, LabeledSample, Provenance, check_int, evasion_rate, features_from_trace, label_for
 
 
 def _load_experiment(args) -> ExperimentConfig:
@@ -68,9 +68,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    traces, counters = traces_from_pcap(args.pcap)
-    label = Label(args.label)
     provenance = Provenance(args.provenance)
+    label = label_for(provenance)
+    if args.label not in (None, label.value):
+        raise ValueError(f"--label {args.label} contradicts --provenance {provenance.value}")
+    traces, counters = traces_from_pcap(args.pcap)
     samples = [LabeledSample(features_from_trace(t), label, provenance) for t in traces]
     Dataset(samples, 0).to_csv(args.out)
     print(f"extracted {len(samples)} flows from {args.pcap}")
@@ -185,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="extract flow features from a capture")
     p.add_argument("--pcap", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--label", default=Label.C2.value, choices=[l.value for l in Label])
+    p.add_argument("--label", default=None, choices=[l.value for l in Label],
+                   help="defaults to the provenance's label: web for web, c2 for the rest")
     p.add_argument("--provenance", default=Provenance.REGULAR.value, choices=[pr.value for pr in Provenance])
     p.set_defaults(func=_cmd_extract)
 

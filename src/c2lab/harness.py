@@ -24,7 +24,9 @@ import numpy as np
 from . import adversarial as adv
 from . import detector as det
 from .adversarial import FgsmConfig, StuffSide
-from .model import Dataset, Label, LabeledSample, Provenance, check_int, evasion_rate, features_from_trace, report_bytes
+from .model import (
+    Dataset, Label, LabeledSample, Provenance, check_int, evasion_rate, features_from_trace, label_for, report_bytes
+)
 from .sim import (
     NAIVE_MODES,
     Adversarial,
@@ -101,8 +103,8 @@ class ExperimentConfig:
 
 
 # Fields a run derives rather than reads: each stage sets its datasets' traffic
-# mode and seed and its detector's training seed, and the header codec is fixed.
-NOT_CONFIG_KEYS = frozenset({"sim.mode", "sim.seed", "sim.codec", "train.seed"})
+# mode and seed and its detector's training seed.
+NOT_CONFIG_KEYS = frozenset({"sim.mode", "sim.seed", "train.seed"})
 # Nested sections whose keys sit directly in the parent's section.
 _INLINE_SECTIONS = frozenset({"sim.size_model"})
 
@@ -269,11 +271,10 @@ def build_dataset(
     if provenance is Provenance.WEB:
         cfg = replace(ec.sim, seed=seed)
         flows = generate_web_traces(n, cfg, ec.web)
-        label = Label.NON_C2
     else:
         cfg = replace(ec.sim, mode=mode_for(provenance, library), seed=seed)
         flows = generate_c2_traces(n, cfg)
-        label = Label.C2
+    label = label_for(provenance)
     samples = [LabeledSample(features_from_trace(t), label, provenance) for t in flows.traces]
     return Dataset(samples, seed), flows
 

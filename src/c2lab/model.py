@@ -14,7 +14,7 @@ import json
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 FEATURE_LEN = 20
 PAD_VALUE = -1.0
@@ -68,9 +68,13 @@ class Provenance(enum.Enum):
     WEB = "web"
 
 
-@dataclass(frozen=True)
-class RecordEvent:
-    """One TLS application-data record observed inside a connection.
+def label_for(provenance: Provenance) -> Label:
+    """The one label a sample of this provenance can carry: web flows are NON_C2, all others C2."""
+    return Label.NON_C2 if provenance is Provenance.WEB else Label.C2
+
+
+class RecordEvent(NamedTuple):
+    """One TLS application-data record of a connection, as its (time, direction, size) tuple.
 
     Attributes:
         timestamp: Seconds, relative to an arbitrary capture epoch.
@@ -82,10 +86,6 @@ class RecordEvent:
     direction: Direction
     size: int
 
-    def __post_init__(self) -> None:
-        if self.size < 1 or self.size > MAX_RECORD_SIZE:
-            raise ValueError(f"record size {self.size} outside [1, {MAX_RECORD_SIZE}]")
-
 
 @dataclass(frozen=True)
 class FlowTrace:
@@ -96,13 +96,12 @@ class FlowTrace:
 
     def __post_init__(self) -> None:
         prev = None
-        for rec in self.records:
-            if prev is not None and rec.timestamp < prev:
-                raise ValueError("record timestamps not monotonic")
-            prev = rec.timestamp
-
-    def sizes(self) -> list[int]:
-        return [rec.size for rec in self.records]
+        for timestamp, _direction, size in self.records:
+            if not 1 <= size <= MAX_RECORD_SIZE:
+                raise ValueError(f"flow {self.connection_id}: record size {size} outside [1, {MAX_RECORD_SIZE}]")
+            if prev is not None and timestamp < prev:
+                raise ValueError(f"flow {self.connection_id}: record timestamps not monotonic")
+            prev = timestamp
 
 
 @dataclass(frozen=True)
@@ -136,9 +135,6 @@ class FeatureVector:
     def n_records(self) -> int:
         return sum(1 for v in self.values if v != PAD_VALUE)
 
-    def sizes(self) -> list[int]:
-        return [int(v) for v in self.values if v != PAD_VALUE]
-
 
 def features_from_trace(trace: FlowTrace) -> FeatureVector:
     """Build the feature vector for one flow.
@@ -148,7 +144,7 @@ def features_from_trace(trace: FlowTrace) -> FeatureVector:
     """
     if not trace.records:
         raise ValueError(f"flow {trace.connection_id} has no application-data records")
-    return FeatureVector.from_sizes(trace.sizes())
+    return FeatureVector.from_sizes([rec.size for rec in trace.records[:FEATURE_LEN]])
 
 
 @dataclass(frozen=True)
@@ -195,6 +191,8 @@ class Dataset:
                     values = tuple(float(v) for v in row[:FEATURE_LEN])
                     label = _label_from_str(row[FEATURE_LEN])
                     provenance = Provenance(row[FEATURE_LEN + 1])
+                    if label is not label_for(provenance):
+                        raise ValueError(f"label {label.value!r} contradicts provenance {provenance.value!r}")
                     samples.append(LabeledSample(FeatureVector(values), label, provenance))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None

@@ -35,7 +35,6 @@ from .model import Direction, FlowTrace, Provenance, RecordEvent
 from .protocol import (
     FrameworkReply,
     FrameworkSession,
-    HeaderCodec,
     PayloadAction,
     PayloadSession,
     framework_step,
@@ -239,7 +238,6 @@ class SimConfig:
     handshake_wire_bytes: int = 3500
     mss: int = 1460
     size_model: TlsSizeModel = field(default_factory=TlsSizeModel)
-    codec: HeaderCodec = field(default_factory=HeaderCodec)
 
     def __post_init__(self) -> None:
         if not isinstance(self.mode, Adversarial) and self.mode not in NAIVE_MODES:
@@ -453,7 +451,6 @@ def lockstep(
     plans: Sequence[StuffingPlan],
     side: StuffSide,
     exchanges: Iterable[tuple[int, int]],
-    codec: HeaderCodec | None = None,
     size_model: TlsSizeModel | None = None,
 ) -> Iterator[tuple[int, PayloadAction, FrameworkReply]]:
     """Step the payload and framework machines over a chained plan sequence.
@@ -478,7 +475,7 @@ def lockstep(
             if pair is None:
                 return
             action = payload_step(payload, last_headers, pair[0], size_model)
-            reply = framework_step(framework, pair[1], codec, size_model)
+            reply = framework_step(framework, pair[1], size_model=size_model)
             payload, framework, last_headers = action.state, reply.state, reply.headers
             yield i, action, reply
 
@@ -488,7 +485,6 @@ def run_lockstep(
     request_plaintexts: Sequence[int],
     response_plaintexts: Sequence[int],
     side: StuffSide,
-    codec: HeaderCodec | None = None,
     size_model: TlsSizeModel | None = None,
 ) -> tuple[list[list[int]], int]:
     """Realized record sizes per connection, and the closes seen, of a lockstep run.
@@ -497,7 +493,7 @@ def run_lockstep(
     """
     connections: list[list[int]] = []
     closes = 0
-    for i, action, reply in lockstep(plans, side, zip(request_plaintexts, response_plaintexts), codec, size_model):
+    for i, action, reply in lockstep(plans, side, zip(request_plaintexts, response_plaintexts), size_model):
         if i == len(connections):
             connections.append([])
         connections[i] += (action.realized_size, reply.realized_size)
@@ -509,7 +505,7 @@ def _adversarial_session(events: list[tuple], cfg: SimConfig, session_index: int
     mode = cfg.mode
     plan_rng = substream(cfg.seed, "plans", session_index)
     plans = chain_plans(_schedule_plans(events, mode, plan_rng, cfg.size_model.framed_size))
-    steps = lockstep(plans, mode.side, ((ev[2], ev[4]) for ev in events), cfg.codec, cfg.size_model)
+    steps = lockstep(plans, mode.side, ((ev[2], ev[4]) for ev in events), cfg.size_model)
     groups: list[list[Record]] = []
     for (_kind, t_req, _req_pt, t_resp, _resp_pt), (i, action, reply) in zip(events, steps):
         if i == len(groups):
@@ -614,12 +610,9 @@ def conn_frame_plan(records: Sequence[Record], cfg: SimConfig) -> list[FrameSpec
 
 def conn_wire_bytes(records: Sequence[Record], cfg: SimConfig) -> int:
     """Wire bytes of conn_frame_plan(records, cfg), without building its frames."""
-    if not records:
-        raise ValueError("a connection must carry records")
-    total = (len(_TCP_OPEN) + len(_TCP_CLOSE)) * FRAME_OVERHEAD
-    for rec_len in (*_handshake_record_lens(cfg.handshake_wire_bytes, cfg.mss), *(r[2] for r in records)):
-        total += _record_wire(rec_len, cfg.mss)
-    return total
+    return sum(
+        _record_wire(rec_len, cfg.mss) if ctype else FRAME_OVERHEAD for *_, ctype, rec_len in _conn_flights(records, cfg)
+    )
 
 
 def conn_open_close(records: Sequence[Record]) -> tuple[float, float]:
@@ -631,22 +624,21 @@ def conn_open_close(records: Sequence[Record]) -> tuple[float, float]:
 
 @dataclass
 class GeneratedFlows:
-    """Aligned traces and raw per-connection records, ready for emission."""
+    """One trace per generated connection, ready for features and emission."""
 
     traces: list[FlowTrace]
-    conn_records: list[tuple[Record, ...]]
     sessions: int = 0
     missing_next_size: int = 0
 
-
-def _conn_to_trace(records: Sequence[Record], conn_id: str) -> FlowTrace:
-    return FlowTrace(conn_id, tuple(RecordEvent(ts, d, size) for ts, d, size in records))
+    @property
+    def conn_records(self) -> list[tuple[RecordEvent, ...]]:
+        return [t.records for t in self.traces]
 
 
 def generate_c2_traces(n_flows: int, cfg: SimConfig) -> GeneratedFlows:
     """Simulate sessions until n_flows connections exist, on a shared clock,
     one second apart."""
-    out = GeneratedFlows([], [], 0, 0)
+    out = GeneratedFlows([])
     cursor = 1.0  # leaves room for the first handshake's lead frames
     session = 0
     while len(out.traces) < n_flows:
@@ -657,9 +649,8 @@ def generate_c2_traces(n_flows: int, cfg: SimConfig) -> GeneratedFlows:
         for conn in result.conns:
             if len(out.traces) >= n_flows:
                 break
-            records = tuple((round(t + cursor, 6), d, size) for t, d, size in conn)
-            out.conn_records.append(records)
-            out.traces.append(_conn_to_trace(records, f"c2-{session}-{len(out.traces)}"))
+            records = tuple(RecordEvent(round(t + cursor, 6), d, size) for t, d, size in conn)
+            out.traces.append(FlowTrace(f"c2-{session}-{len(out.traces)}", records))
         cursor = round(cursor + result.runtime + 1.0, 6)
         session += 1
         out.sessions = session
@@ -705,35 +696,35 @@ class WebConfig:
             raise ValueError("upload_prob + poll_prob must be <= 1")
 
 
-def _upload_records(rng: np.random.Generator, web: WebConfig, t: float) -> list[Record]:
+def _upload_records(rng: np.random.Generator, web: WebConfig, t: float) -> list[RecordEvent]:
     # multipart/chunked POST rounds: big client body, short server ack
-    records: list[Record] = []
+    records: list[RecordEvent] = []
     rounds = min(1 + int(rng.geometric(0.6)), 4)
     for _ in range(rounds):
         body = int(np.clip(round(rng.lognormal(web.upload_mu, web.upload_sigma)), 256, 16408))
-        records.append((round(t, 6), Direction.PAYLOAD_TO_FRAMEWORK, body))
+        records.append(RecordEvent(round(t, 6), Direction.PAYLOAD_TO_FRAMEWORK, body))
         t += rng.exponential(web.gap_mean)
         ack = int(np.clip(round(rng.lognormal(web.ack_mu, web.ack_sigma)), 80, 2048))
-        records.append((round(t, 6), Direction.FRAMEWORK_TO_PAYLOAD, ack))
+        records.append(RecordEvent(round(t, 6), Direction.FRAMEWORK_TO_PAYLOAD, ack))
         t += rng.exponential(web.gap_mean)
     return records
 
 
-def _api_poll_records(rng: np.random.Generator, web: WebConfig, t: float) -> list[Record]:
+def _api_poll_records(rng: np.random.Generator, web: WebConfig, t: float) -> list[RecordEvent]:
     # XHR/API polling: byte-identical requests, responses vary per poll
-    records: list[Record] = []
+    records: list[RecordEvent] = []
     rounds = min(2 + int(rng.geometric(0.45)), 9)
     req = int(np.clip(round(rng.lognormal(web.poll_req_mu, web.poll_req_sigma)), 120, 2048))
     steady = rng.random() < 0.35  # cache hits: the answer barely changes
     base = int(np.clip(round(rng.lognormal(web.poll_resp_mu, web.poll_resp_sigma)), 90, 16408))
     for _ in range(rounds):
-        records.append((round(t, 6), Direction.PAYLOAD_TO_FRAMEWORK, req))
+        records.append(RecordEvent(round(t, 6), Direction.PAYLOAD_TO_FRAMEWORK, req))
         t += rng.exponential(web.gap_mean)
         if steady:
             size = int(np.clip(base + int(rng.integers(-8, 9)), 60, 16408))
         else:
             size = int(np.clip(round(rng.lognormal(web.poll_resp_mu, web.poll_resp_sigma)), 90, 16408))
-        records.append((round(t, 6), Direction.FRAMEWORK_TO_PAYLOAD, size))
+        records.append(RecordEvent(round(t, 6), Direction.FRAMEWORK_TO_PAYLOAD, size))
         t += rng.exponential(web.gap_mean)
     return records
 
@@ -742,7 +733,7 @@ def generate_web_traces(n_flows: int, cfg: SimConfig, web: WebConfig | None = No
     """Browsing-like flows: one request, then a heavy-tailed mix of records."""
     web = web or WebConfig()
     rng = substream(cfg.seed if seed is None else seed, "web")
-    out = GeneratedFlows([], [], 0, 0)
+    out = GeneratedFlows([])
     cursor = 1.0
     full = 16408
     for i in range(n_flows):
@@ -756,7 +747,7 @@ def generate_web_traces(n_flows: int, cfg: SimConfig, web: WebConfig | None = No
             n = min(1 + int(rng.geometric(web.tail_p)), web.max_records)
             records = []
             size = int(np.clip(round(rng.lognormal(web.request_mu, web.request_sigma)), 64, 4096))
-            records.append((round(t, 6), Direction.PAYLOAD_TO_FRAMEWORK, size))
+            records.append(RecordEvent(round(t, 6), Direction.PAYLOAD_TO_FRAMEWORK, size))
             for j in range(1, n):
                 t += rng.exponential(web.gap_mean)
                 server = j == 1 or rng.random() < web.server_prob
@@ -768,13 +759,11 @@ def generate_web_traces(n_flows: int, cfg: SimConfig, web: WebConfig | None = No
                         size = int(np.clip(round(rng.lognormal(web.ack_mu, web.ack_sigma)), 80, 1024))
                     else:
                         size = int(np.clip(round(rng.lognormal(web.server_mu, web.server_sigma)), 100, full))
-                    records.append((round(t, 6), Direction.FRAMEWORK_TO_PAYLOAD, size))
+                    records.append(RecordEvent(round(t, 6), Direction.FRAMEWORK_TO_PAYLOAD, size))
                 else:
                     size = int(np.clip(round(rng.lognormal(web.client_mu, web.client_sigma)), 40, 4096))
-                    records.append((round(t, 6), Direction.PAYLOAD_TO_FRAMEWORK, size))
-        recs = tuple(records)
-        out.conn_records.append(recs)
-        out.traces.append(_conn_to_trace(recs, f"web-{i}"))
+                    records.append(RecordEvent(round(t, 6), Direction.PAYLOAD_TO_FRAMEWORK, size))
+        out.traces.append(FlowTrace(f"web-{i}", tuple(records)))
         cursor = round(records[-1][0] + web.flow_spacing, 6)
     return out
 

@@ -500,5 +500,5 @@ def test_projection_always_realizable(seed, epsilon):
     model = TlsSizeModel()
     for row in out:
         fv = FeatureVector(tuple(row))  # padding suffix and bounds both hold
-        for v in fv.sizes():
-            assert on_grid(model, v)
+        for v in fv.values[: fv.n_records]:
+            assert on_grid(model, int(v))

@@ -181,6 +181,30 @@ def test_extract_command(tmp_path, capsys):
     assert "tls_parse_errors: 0" in stdout
 
 
+def test_extract_label_follows_provenance(tmp_path):
+    cfg = replace(ExperimentConfig().sim, seed=4)
+    pcap = tmp_path / "flows.pcap"
+    emit_pcap(pcap, generate_c2_traces(3, cfg).conn_records, cfg, seed=4)
+    out = tmp_path / "extracted.csv"
+    for provenance, label in (("web", Label.NON_C2), ("randReq", Label.C2)):
+        assert main(["extract", "--pcap", str(pcap), "--out", str(out), "--provenance", provenance]) == 0
+        ds = Dataset.from_csv(out)
+        assert len(ds) == 3
+        assert all(s.label is label and s.provenance.value == provenance for s in ds.samples)
+
+
+@pytest.mark.parametrize("label, provenance", [("c2", "web"), ("web", "regular")])
+def test_extract_contradicting_label_exits_2_naming_both_flags(tmp_path, capsys, label, provenance):
+    cfg = replace(ExperimentConfig().sim, seed=4)
+    pcap = tmp_path / "flows.pcap"
+    emit_pcap(pcap, generate_c2_traces(2, cfg).conn_records, cfg, seed=4)
+    out = tmp_path / "extracted.csv"
+    rc = main(["extract", "--pcap", str(pcap), "--out", str(out), "--label", label, "--provenance", provenance])
+    assert rc == 2
+    _assert_one_line_error(capsys, f"--label {label}", f"--provenance {provenance}")
+    assert not out.exists()
+
+
 def test_unknown_mode_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["gen", "--mode", "nonsense", "--n", "1", "--out", str(tmp_path / "x.csv")])

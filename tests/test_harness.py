@@ -246,7 +246,7 @@ def _doc_paths(doc, prefix=""):
 
 
 def test_config_keys_are_every_leaf_but_the_derived_ones():
-    assert NOT_CONFIG_KEYS == {"sim.mode", "sim.seed", "sim.codec", "train.seed"}
+    assert NOT_CONFIG_KEYS == {"sim.mode", "sim.seed", "train.seed"}
     # size_model's fields sit flat under sim
     leaves = {p.replace("sim.size_model.", "sim.") for p in _leaf_paths(ExperimentConfig())}
     emitted = set(_doc_paths(ExperimentConfig().to_dict()))

@@ -71,16 +71,26 @@ def test_rejects_out_of_range_values():
 def test_from_sizes_roundtrip(sizes):
     fv = FeatureVector.from_sizes(sizes)
     assert len(fv.values) == FEATURE_LEN
-    assert fv.sizes() == sizes[:FEATURE_LEN]
+    assert [int(v) for v in fv.values if v != PAD_VALUE] == sizes[:FEATURE_LEN]
     assert fv.n_records == min(len(sizes), FEATURE_LEN)
 
 
 def test_record_event_bounds():
-    with pytest.raises(ValueError):
-        RecordEvent(0.0, Direction.PAYLOAD_TO_FRAMEWORK, 0)
-    with pytest.raises(ValueError):
-        RecordEvent(0.0, Direction.PAYLOAD_TO_FRAMEWORK, MAX_RECORD_SIZE + 1)
-    RecordEvent(0.0, Direction.PAYLOAD_TO_FRAMEWORK, MAX_RECORD_SIZE)
+    # a trace checks its records' sizes, and the error names the flow
+    first = RecordEvent(0.0, Direction.PAYLOAD_TO_FRAMEWORK, 300)
+    for size in (0, MAX_RECORD_SIZE + 1):
+        bad = RecordEvent(1.0, Direction.FRAMEWORK_TO_PAYLOAD, size)
+        with pytest.raises(ValueError, match=rf"^flow c2-4-9: record size {size} outside \[1, {MAX_RECORD_SIZE}\]$"):
+            FlowTrace("c2-4-9", (first, bad))
+    edge = FlowTrace("c2-4-9", (first, RecordEvent(1.0, Direction.FRAMEWORK_TO_PAYLOAD, MAX_RECORD_SIZE)))
+    assert features_from_trace(edge).values[:2] == (300.0, float(MAX_RECORD_SIZE))
+
+
+def test_record_event_is_the_record_tuple():
+    rec = RecordEvent(1.5, Direction.FRAMEWORK_TO_PAYLOAD, 704)
+    assert rec == (1.5, Direction.FRAMEWORK_TO_PAYLOAD, 704)
+    timestamp, direction, size = rec
+    assert (timestamp, direction, size) == (rec.timestamp, rec.direction, rec.size)
 
 
 def test_flow_trace_checks_timestamps():
@@ -170,6 +180,18 @@ def test_dataset_csv_row_errors_name_file_and_line(tmp_path, column, value, frag
     with pytest.raises(ValueError, match=fragment) as info:
         Dataset.from_csv(path)
     assert str(info.value).startswith(f"{path}:3: ")
+
+
+@pytest.mark.parametrize("label, provenance", [("c2", "web"), ("web", "regular"), ("web", "advTwoSide")])
+def test_dataset_csv_rejects_a_label_contradicting_its_provenance(tmp_path, label, provenance):
+    path = tmp_path / "ds.csv"
+    Dataset([_sample([288, 704], Label.C2), _sample([300, 1500], Label.NON_C2, Provenance.WEB)], 0).to_csv(path)
+    lines = path.read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:FEATURE_LEN] + [label, provenance])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        Dataset.from_csv(path)
+    assert str(info.value) == f"{path}:3: label {label!r} contradicts provenance {provenance!r}"
 
 
 @pytest.mark.parametrize("value, low, high", [(True, 0, None), (2.0, 0, None), ("3", 0, None), (-1, 0, None), (5, 1, 4)])

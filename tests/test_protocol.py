@@ -396,7 +396,7 @@ def test_simulated_session_sizes_are_the_lockstep_run_of_its_plans(library, side
     plans = chain_plans(
         _schedule_plans(exchanges, cfg.mode, substream(seed, "plans", session_index), cfg.size_model.framed_size)
     )
-    conns, _ = run_lockstep(plans, [ev[2] for ev in exchanges], [ev[4] for ev in exchanges], side, cfg.codec, cfg.size_model)
+    conns, _ = run_lockstep(plans, [ev[2] for ev in exchanges], [ev[4] for ev in exchanges], side, size_model=cfg.size_model)
     assert conns == [[size for *_, size in c] for c in result.conns]
     times = [(round(ev[1], 6), ev[3]) for ev in exchanges]
     assert [t for c in result.conns for t, *_ in c] == [t for pair in times for t in pair]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from c2lab import sim
 from c2lab.adversarial import StuffSide, StuffingPlan, PlanTarget, plan_from_adversarial, sample_plan
-from c2lab.model import Direction, FeatureVector, MAX_RECORD_SIZE, Provenance
+from c2lab.model import Direction, FeatureVector, MAX_RECORD_SIZE, Provenance, RecordEvent
 from c2lab.sim import (
     Adversarial,
     Command,
@@ -284,7 +284,8 @@ def test_each_trace_carries_its_connection_records(source, seed):
     flows = FLOW_SOURCES[source](seed)
     assert len(flows.traces) == len(flows.conn_records) == 9
     for trace, records in zip(flows.traces, flows.conn_records):
-        assert tuple((r.timestamp, r.direction, r.size) for r in trace.records) == records
+        assert trace.records is records
+        assert all(type(r) is RecordEvent for r in records)
 
 
 def test_substream_is_label_sensitive():
