@@ -377,10 +377,12 @@ class _AdamState:
     m_b: list[np.ndarray]
     v_b: list[np.ndarray]
     # Step scratch for one chunk of rows: moment-term temporaries in the
-    # parameter dtype, and the float64 update lr_t * m / (sqrt(v) + eps),
-    # float64 because lr_t is an np.float64.
+    # parameter dtype, the float64 update lr_t * m / (sqrt(v) + eps),
+    # float64 because lr_t is an np.float64, and the float64 copy of each
+    # operand the update combines with.
     scratch: np.ndarray
     scratch64: np.ndarray
+    wide64: np.ndarray
     t: int = 0
 
     @classmethod
@@ -393,6 +395,7 @@ class _AdamState:
             v_b=[np.zeros_like(b) for b in params.biases],
             scratch=np.empty(largest, dtype=params.weights[0].dtype),
             scratch64=np.empty(largest, dtype=np.float64),
+            wide64=np.empty(largest, dtype=np.float64),
         )
 
 
@@ -489,6 +492,7 @@ def _adam_step(params, state, grads_w, grads_b, config: TrainConfig) -> None:
                 tg, g, mc, vc = target[r : r + rows], grad[r : r + rows], m[r : r + rows], v[r : r + rows]
                 tmp = state.scratch[: g.size].reshape(g.shape)
                 update = state.scratch64[: g.size].reshape(g.shape)
+                wide = state.wide64[: g.size].reshape(g.shape)
                 mc *= config.beta1
                 np.multiply(1 - config.beta1, g, out=tmp)
                 mc += tmp
@@ -498,9 +502,16 @@ def _adam_step(params, state, grads_w, grads_b, config: TrainConfig) -> None:
                 vc += tmp
                 np.sqrt(vc, out=tmp)
                 tmp += config.adam_eps
-                np.multiply(lr_t, mc, out=update)
-                update /= tmp
-                tg -= update
+                # The float64 steps take their operands widened into scratch
+                # first: the same float64 arithmetic as the mixed-dtype
+                # ufunc loops, without their buffered casts.
+                np.copyto(update, mc)
+                update *= lr_t
+                np.copyto(wide, tmp)
+                update /= wide
+                np.copyto(wide, tg)
+                wide -= update
+                np.copyto(tg, wide, casting="same_kind")
                 if flush:
                     np.abs(mc, out=tmp)
                     np.putmask(mc, tmp < _moment_floor(mc.dtype, config.beta1), 0.0)

@@ -1,7 +1,11 @@
 """Capture-file to flow-trace extraction.
 
-Frames are grouped into TCP connections, each direction is reassembled in
-sequence order, and TLS records are walked out of the byte stream. Only
+Frames are read one at a time and grouped into TCP connections. A
+connection is finished once it has closed (both endpoints sent a FIN, or
+either sent an RST) or at the end of the capture: each direction is
+reassembled in sequence order, TLS records are walked out of the byte
+stream, and its segments are dropped. So extraction holds only the
+connections open at the current point of the capture. Only
 application-data records (content type 23) become RecordEvents; everything
 else is skipped, and its anomalies are counted.
 """
@@ -9,14 +13,14 @@ else is skipped, and its anomalies are counted.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .model import MAX_RECORD_SIZE, Direction, FlowTrace, RecordEvent
 from .sizing import RECORD_HEADER_LEN, TLS_APPDATA, TLS_CONTENT_TYPES
-from .wire import SYN, PcapFormatError, parse_frame, read_packets
+from .wire import FIN, RST, SYN, PcapFormatError, parse_frame, read_packets
 
 TLS_MAX_RECORD_LEN = 2**14 + 2048
 
@@ -47,6 +51,8 @@ class ExtractionCounters:
     tls_parse_errors: int = 0
     incomplete_records: int = 0
     flows_without_appdata: int = 0
+    # data segments and SYNs on a 4-tuple whose connection has closed
+    segments_after_close: int = 0
 
     def to_dict(self) -> dict[str, int]:
         return dict(vars(self))
@@ -64,16 +70,21 @@ class SegmentRecord:
     payload: bytes
 
 
-def read_pcap(path: str | Path) -> tuple[list[SegmentRecord], ExtractionCounters]:
-    """Load every TCP segment of a capture, non-TCP frames counted and skipped.
+# Endpoint pairs read_pcap keeps stream keys for: two per open connection.
+_ENDPOINT_PAIRS = 4096
 
-    A frame parse_frame rejects raises its PcapFormatError, prefixed with
-    the frame's 0-based packet index.
+
+def read_pcap(path: str | Path, counters: ExtractionCounters) -> Iterator[SegmentRecord]:
+    """Yield every TCP segment of a capture, non-TCP frames counted and skipped.
+
+    Frames are counted into counters once the capture has been read to its
+    end. A frame parse_frame rejects raises its PcapFormatError, prefixed
+    with the frame's 0-based packet index.
     """
-    segments: list[SegmentRecord] = []
-    # One stream key and source endpoint per (source, destination) pair.
+    # One stream key and source endpoint per (source, destination) pair,
+    # emptied when full so that it does not grow with the capture.
     endpoints: dict[tuple[str, int, str, int], tuple[TcpStreamKey, Endpoint]] = {}
-    frames = 0
+    frames = segments = 0
     for index, (timestamp, frame) in enumerate(read_packets(path)):
         frames += 1
         try:
@@ -85,11 +96,15 @@ def read_pcap(path: str | Path) -> tuple[list[SegmentRecord], ExtractionCounters
         pair = (parsed.src_ip, parsed.src_port, parsed.dst_ip, parsed.dst_port)
         known = endpoints.get(pair)
         if known is None:
+            if len(endpoints) >= _ENDPOINT_PAIRS:
+                endpoints.clear()
             src = (parsed.src_ip, parsed.src_port)
             known = endpoints[pair] = (TcpStreamKey.from_endpoints(src, (parsed.dst_ip, parsed.dst_port)), src)
         key, src = known
-        segments.append(SegmentRecord(index, timestamp, key, src, parsed.seq, parsed.flags, parsed.payload))
-    return segments, ExtractionCounters(frames_total=frames, frames_skipped=frames - len(segments))
+        segments += 1
+        yield SegmentRecord(index, timestamp, key, src, parsed.seq, parsed.flags, parsed.payload)
+    counters.frames_total += frames
+    counters.frames_skipped += frames - segments
 
 
 @dataclass
@@ -197,53 +212,102 @@ def parse_tls_records(stream: _DirectionStream, counters: ExtractionCounters) ->
 # A record's completion time, then its completing frame; stable for records
 # that one frame completes.
 _TIME_ORDER = itemgetter(0, 1)
+# the flags that open or close a connection
+_CONTROL = SYN | FIN | RST
+
+
+@dataclass(slots=True)
+class _OpenConnection:
+    # position among the capture's connections, by first segment
+    order: int
+    # segments by source endpoint, in capture order
+    by_src: dict[Endpoint, list[SegmentRecord]]
+    # source of the first SYN: that endpoint is the client
+    syn_src: Endpoint | None = None
+    # endpoints that sent a FIN; the connection has closed once both have
+    fin_srcs: set[Endpoint] = field(default_factory=set)
+
+
+def _connection_trace(key: TcpStreamKey, conn: _OpenConnection, counters: ExtractionCounters) -> FlowTrace | None:
+    """The connection's trace, or None when it carried no application data."""
+    by_src = conn.by_src
+    # without a SYN, whoever sent first is the client
+    client = conn.syn_src or next(iter(by_src))
+    server = key.b if client == key.a else key.a
+    conn_id = f"{client[0]}:{client[1]}-{server[0]}:{server[1]}"
+
+    merged: list[tuple[float, int, Direction, int]] = []
+    for endpoint, direction in (
+        (client, Direction.PAYLOAD_TO_FRAMEWORK),
+        (server, Direction.FRAMEWORK_TO_PAYLOAD),
+    ):
+        stream = reassemble(by_src.get(endpoint, []), counters)
+        for rec in parse_tls_records(stream, counters):
+            if rec.content_type != TLS_APPDATA:
+                continue
+            # the walker admits TLS 1.2 CBC expansion, past what a feature can hold
+            if rec.size > MAX_RECORD_SIZE:
+                raise PcapFormatError(
+                    f"connection {conn_id}: application-data record of {rec.size} bytes exceeds {MAX_RECORD_SIZE}"
+                )
+            merged.append((rec.timestamp, rec.completing_index, direction, rec.size))
+    if not merged:
+        counters.flows_without_appdata += 1
+        return None
+    merged.sort(key=_TIME_ORDER)
+    return FlowTrace(conn_id, tuple(RecordEvent(ts, direction, size) for ts, _idx, direction, size in merged))
 
 
 def traces_from_pcap(path: str | Path) -> tuple[list[FlowTrace], ExtractionCounters]:
-    """Extract one FlowTrace per TCP connection that carried application data."""
-    segments, counters = read_pcap(path)
-    # Each connection's segments by source endpoint, in one pass, with the
-    # source of its first SYN: that endpoint is the client.
-    by_key: dict[TcpStreamKey, dict[Endpoint, list[SegmentRecord]]] = {}
-    syn_src: dict[TcpStreamKey, Endpoint] = {}
-    for seg in segments:
+    """Extract one FlowTrace per TCP connection that carried application data.
+
+    Traces come in the order of each connection's first segment. A data
+    segment or a SYN on a connection that has closed is counted as
+    segments_after_close and not merged; bare ACKs and FINs there change
+    nothing and are dropped. Of several connections whose records are too
+    large for a feature, the first by first segment is named, and a frame
+    that cannot be parsed takes precedence over all of them.
+    """
+    counters = ExtractionCounters()
+    open_conns: dict[TcpStreamKey, _OpenConnection] = {}
+    closed: set[TcpStreamKey] = set()
+    # one slot per connection in first-segment order, filled when it finishes
+    slots: list[FlowTrace | PcapFormatError | None] = []
+
+    def finish(key: TcpStreamKey, conn: _OpenConnection) -> None:
+        try:
+            slots[conn.order] = _connection_trace(key, conn, counters)
+        except PcapFormatError as exc:
+            # raised once the whole capture has been read
+            slots[conn.order] = exc
+
+    for seg in read_pcap(path, counters):
         key = seg.key
-        by_src = by_key.get(key)
-        if by_src is None:
-            by_src = by_key[key] = {}
-        own = by_src.get(seg.src)
+        conn = open_conns.get(key)
+        if conn is None:
+            if key in closed:
+                if seg.payload or seg.flags & SYN:
+                    counters.segments_after_close += 1
+                continue
+            conn = open_conns[key] = _OpenConnection(len(slots), {})
+            slots.append(None)
+        own = conn.by_src.get(seg.src)
         if own is None:
-            own = by_src[seg.src] = []
+            own = conn.by_src[seg.src] = []
         own.append(seg)
-        if seg.flags & SYN and key not in syn_src:
-            syn_src[key] = seg.src
-
-    traces: list[FlowTrace] = []
-    for key, by_src in by_key.items():
-        # without a SYN, whoever sent first is the client
-        client = syn_src.get(key) or next(iter(by_src))
-        server = key.b if client == key.a else key.a
-        conn_id = f"{client[0]}:{client[1]}-{server[0]}:{server[1]}"
-
-        merged: list[tuple[float, int, Direction, int]] = []
-        for endpoint, direction in (
-            (client, Direction.PAYLOAD_TO_FRAMEWORK),
-            (server, Direction.FRAMEWORK_TO_PAYLOAD),
-        ):
-            stream = reassemble(by_src.get(endpoint, []), counters)
-            for rec in parse_tls_records(stream, counters):
-                if rec.content_type != TLS_APPDATA:
-                    continue
-                # the walker admits TLS 1.2 CBC expansion, past what a feature can hold
-                if rec.size > MAX_RECORD_SIZE:
-                    raise PcapFormatError(
-                        f"connection {conn_id}: application-data record of {rec.size} bytes exceeds {MAX_RECORD_SIZE}"
-                    )
-                merged.append((rec.timestamp, rec.completing_index, direction, rec.size))
-        if not merged:
-            counters.flows_without_appdata += 1
-            continue
-        merged.sort(key=_TIME_ORDER)
-        records = tuple(RecordEvent(ts, direction, size) for ts, _idx, direction, size in merged)
-        traces.append(FlowTrace(conn_id, records))
-    return traces, counters
+        flags = seg.flags
+        if flags & _CONTROL:
+            if flags & SYN and conn.syn_src is None:
+                conn.syn_src = seg.src
+            if flags & FIN:
+                conn.fin_srcs.add(seg.src)
+            if flags & RST or len(conn.fin_srcs) == 2:
+                del open_conns[key]
+                closed.add(key)
+                finish(key, conn)
+    for key, conn in open_conns.items():
+        finish(key, conn)
+    for result in slots:
+        if isinstance(result, PcapFormatError):
+            raise result
+    return [trace for trace in slots if trace is not None], counters

@@ -19,6 +19,8 @@ checks that the two agree.
 
 from __future__ import annotations
 
+import heapq
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -776,10 +778,107 @@ MAX_HEADER_RECORD_LEN = 0xFFFF  # the TLS record header's length field is 16 bit
 _TLS_RECORD_HEADER = struct.Struct("!BHH")
 # a bare TCP frame: one frame with an empty payload
 _BARE_LAYOUT = ((0, 0),)
+# a heap bound no frame reaches
+_NO_FRAME = (math.inf,)
 
 
 class RecordTooLargeError(ValueError):
     """A planned record longer than a TLS record header can state."""
+
+
+_SERVER_IP, _SERVER_PORT = "10.8.0.2", 443
+
+
+def _client_endpoint(idx: int) -> tuple[str, int]:
+    return f"10.0.{idx // 20000}.1", 40000 + idx % 20000
+
+
+def _conn_starts(conn_records: Sequence[Sequence[Record]], cfg: SimConfig) -> list[tuple[float, int, int, int, int]]:
+    """(open time, index, first IP id, first ciphertext word, words) of each
+    connection, in the order the connections open.
+
+    Closed form over the records, building no frame: IP ids number every
+    frame in connection order, then plan order, and the ciphertext words
+    follow the same order. The open time is the connection's earliest frame
+    time: its SYN, or a record stamped before it. An oversize record raises
+    RecordTooLargeError here, before anything is written.
+    """
+    mss = cfg.mss
+    c_len, s_len = _handshake_record_lens(cfg.handshake_wire_bytes, mss)
+    # per connection: the bare TCP frames and both TLS handshake records
+    handshake_frames = len(_TCP_OPEN) + len(_TCP_CLOSE) + _record_frames(c_len, mss) + _record_frames(s_len, mss)
+    handshake_words = (c_len + 3) // 4 + (s_len + 3) // 4
+    starts = []
+    ip_id = word = 0
+    for idx, records in enumerate(conn_records):
+        if not records:
+            raise ValueError("a connection must carry records")
+        frames, words, first = handshake_frames, handshake_words, records[0][0]
+        earliest, largest = first, max(c_len, s_len)
+        for ts, _direction, size in records:
+            frames += _record_frames(size, mss)
+            words += (size + 3) // 4
+            if ts < earliest:
+                earliest = ts
+            if size > largest:
+                largest = size
+        if largest > MAX_HEADER_RECORD_LEN:
+            rec_len = next(n for n in (c_len, s_len, *(r[2] for r in records)) if n > MAX_HEADER_RECORD_LEN)
+            client_ip, client_port = _client_endpoint(idx)
+            raise RecordTooLargeError(
+                f"connection {idx} ({client_ip}:{client_port}-{_SERVER_IP}:{_SERVER_PORT}): record of "
+                f"{rec_len} bytes exceeds the {MAX_HEADER_RECORD_LEN} a TLS record header can state"
+            )
+        open_ts = round(first - HANDSHAKE_LEAD, 6)
+        if earliest < first:
+            open_ts = min(open_ts, round(earliest, 6))
+        starts.append((open_ts, idx, ip_id, word, words))
+        ip_id += frames
+        word += words
+    starts.sort()
+    return starts
+
+
+def _conn_frames(
+    idx: int, records: Sequence[Record], cfg: SimConfig, ciphertext: memoryview, ip_id: int
+) -> list[tuple[float, int, bytes]]:
+    """One connection's (timestamp, IP id, frame), sorted, its IP ids from ip_id on."""
+    client_ip, client_port = _client_endpoint(idx)
+    server_ip, server_port = _SERVER_IP, _SERVER_PORT
+    frames: list[tuple[float, int, bytes]] = []
+    cipher_pos = 0
+    client_seq, server_seq = 1000, 2000
+    in_order, last_ts = True, -1.0
+    for ts, from_client, flags, ctype, rec_len in _conn_flights(records, cfg):
+        if ctype:
+            header = _TLS_RECORD_HEADER.pack(ctype, 0x0303, rec_len)
+            blob = header + ciphertext[cipher_pos : cipher_pos + rec_len]
+            cipher_pos += 4 * ((rec_len + 3) // 4)
+            layout = _chunk_layout(rec_len, cfg.mss)
+        else:
+            blob, layout = b"", _BARE_LAYOUT
+        if ts < last_ts:
+            in_order = False
+        last_ts = ts
+        # SYN and FIN take one sequence number each
+        step = 1 if flags & (SYN | FIN) else 0
+        for start, end in layout:
+            payload = blob[start:end]
+            if from_client:
+                ack = 0 if flags == SYN else server_seq
+                frame = build_frame(client_ip, server_ip, client_port, server_port, client_seq, ack, flags, payload, ip_id)
+                client_seq += step + len(payload)
+            else:
+                frame = build_frame(
+                    server_ip, client_ip, server_port, client_port, server_seq, client_seq, flags, payload, ip_id
+                )
+                server_seq += step + len(payload)
+            frames.append((ts, ip_id, frame))
+            ip_id += 1
+    if not in_order:
+        # (timestamp, IP id) is unique, so the frames are never compared
+        frames.sort()
+    return frames
 
 
 def emit_pcap(
@@ -795,58 +894,53 @@ def emit_pcap(
     ciphertext drawn from the seed. A record over MAX_HEADER_RECORD_LEN
     bytes raises RecordTooLargeError naming its connection, and nothing is
     written.
+
+    Frames go out in (timestamp, IP id) order, where IP ids number every
+    frame in connection order, then plan order. Connections are built in
+    the order they open and their frames merged through a heap, so only the
+    connections open at the current point of the capture are held.
     """
-    rng = substream(seed, "ciphertext")
-    # (timestamp, emission order, frame); the emission order is also the IP id
-    entries: list[tuple[float, int, bytes]] = []
-    ip_id = 0
-    server_ip, server_port = "10.8.0.2", 443
-    for idx, records in enumerate(conn_records):
-        client_ip, client_port = f"10.0.{idx // 20000}.1", 40000 + idx % 20000
-        flights = _conn_flights(records, cfg)
-        # One draw per connection. rng.bytes(n) draws ceil(n / 4) uint32 words
-        # and drops the tail bytes, so each record's ciphertext is the head of
-        # its own words in the block, and the generator ends where per-record
-        # draws would leave it. One block per capture would hold it all in memory.
-        words = rng.integers(0, 2**32, size=sum((f[4] + 3) // 4 for f in flights), dtype=np.uint32)
-        ciphertext = memoryview(words.astype("<u4", copy=False).view(np.uint8))
-        cipher_pos = 0
-        client_seq, server_seq = 1000, 2000
-        for ts, from_client, flags, ctype, rec_len in flights:
-            if ctype:
-                if rec_len > MAX_HEADER_RECORD_LEN:
-                    raise RecordTooLargeError(
-                        f"connection {idx} ({client_ip}:{client_port}-{server_ip}:{server_port}): record of "
-                        f"{rec_len} bytes exceeds the {MAX_HEADER_RECORD_LEN} a TLS record header can state"
-                    )
-                header = _TLS_RECORD_HEADER.pack(ctype, 0x0303, rec_len)
-                blob = header + ciphertext[cipher_pos : cipher_pos + rec_len]
-                cipher_pos += 4 * ((rec_len + 3) // 4)
-                layout = _chunk_layout(rec_len, cfg.mss)
-            else:
-                blob, layout = b"", _BARE_LAYOUT
-            # SYN and FIN take one sequence number each
-            step = 1 if flags & (SYN | FIN) else 0
-            for start, end in layout:
-                payload = blob[start:end]
-                if from_client:
-                    ack = 0 if flags == SYN else server_seq
-                    frame = build_frame(
-                        client_ip, server_ip, client_port, server_port, client_seq, ack, flags, payload, ip_id
-                    )
-                    client_seq += step + len(payload)
-                else:
-                    frame = build_frame(
-                        server_ip, client_ip, server_port, client_port, server_seq, client_seq, flags, payload, ip_id
-                    )
-                    server_seq += step + len(payload)
-                entries.append((ts, ip_id, frame))
-                ip_id += 1
-    # (timestamp, emission order) is unique, so the frames are never compared.
-    entries.sort()
+    starts = _conn_starts(conn_records, cfg)
+    # Ciphertext comes from the seed's ciphertext substream, as if one
+    # rng.bytes(n) per record were drawn in connection order. rng.bytes(n)
+    # draws ceil(n / 4) full-range uint32 words and drops the tail bytes, so
+    # each record's ciphertext is the head of its own words, and a connection's
+    # records take one run of words from its first word on. PCG64 makes a
+    # uint32 word from each 64-bit output, low half first, so word w is a half
+    # of output w // 2: a connection draws its run as raw outputs from there,
+    # whatever the order connections are built in. advance() steps forward
+    # only; stepping back uses the 2**128 period.
+    bitgen = substream(seed, "ciphertext").bit_generator
+    drawn = 0  # 64-bit outputs the generator stands after
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         write_packet = PcapWriter(fh).write_packet
-        for ts, _order, frame in entries:
-            write_packet(ts, frame)
+        # (timestamp, IP id, position, frames) of each open connection's next frame
+        heap: list[tuple[float, int, int, list[tuple[float, int, bytes]]]] = []
+        n_conns, k = len(starts), 0
+        while heap or k < n_conns:
+            next_open = starts[k][0] if k < n_conns else math.inf
+            # a connection opening no later than the next frame may precede it
+            if not heap or next_open <= heap[0][0]:
+                _open, idx, ip_id, word, n_words = starts[k]
+                k += 1
+                first, skip = divmod(word, 2)
+                if first != drawn:
+                    bitgen.advance((first - drawn) % 2**128)
+                outputs = (skip + n_words + 1) // 2
+                drawn = first + outputs
+                ciphertext = memoryview(bitgen.random_raw(outputs).astype("<u8", copy=False).view(np.uint8))[4 * skip :]
+                frames = _conn_frames(idx, conn_records[idx], cfg, ciphertext, ip_id)
+                heapq.heappush(heap, (*frames[0][:2], 0, frames))
+                continue
+            # The earliest connection writes frames until another connection's
+            # next frame or the next open comes first; its first frame always goes.
+            _ts, _ip_id, pos, frames = heapq.heappop(heap)
+            bound = heap[0] if heap else _NO_FRAME
+            for pos in range(pos, len(frames)):
+                frame = frames[pos]
+                if frame > bound or frame[0] >= next_open:
+                    heapq.heappush(heap, (frame[0], frame[1], pos, frames))
+                    break
+                write_packet(frame[0], frame[2])

@@ -1,9 +1,11 @@
 """The capture fast path against the per-frame implementation it replaced.
 
 ``reference_*`` below are the straightforward versions of frame building,
-capture emission, frame parsing and segment loading: one ``rng.bytes`` draw
-per record, every header packed and checksummed word by word, one stream key
-per frame. The fast path must write byte-identical captures and extract
+capture emission, frame parsing and extraction: one ``rng.bytes`` draw per
+record, every header packed and checksummed word by word, one stream key
+per frame, every frame held until one final sort, and every segment of the
+capture read before any connection is grouped and reassembled. The
+streaming fast path must write byte-identical captures and extract
 identical traces and counters.
 """
 
@@ -12,15 +14,15 @@ from __future__ import annotations
 import hashlib
 import struct
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from c2lab import extract, sim, wire
 from c2lab.extract import ExtractionCounters, SegmentRecord, TcpStreamKey
-from c2lab.model import Direction
+from c2lab.model import MAX_RECORD_SIZE, Direction, FlowTrace, Provenance, RecordEvent
 from c2lab.sim import SimConfig, conn_frame_plan, emit_pcap, generate_c2_traces, generate_web_traces, substream
+from c2lab.sizing import TLS_APPDATA
 from c2lab.wire import (
     ETH_LEN,
     ETHERTYPE_IPV4,
@@ -204,8 +206,39 @@ def reference_read_pcap(path):
 
 
 def reference_traces_from_pcap(path):
-    with mock.patch.object(extract, "read_pcap", reference_read_pcap):
-        return extract.traces_from_pcap(path)
+    """Read the whole capture, then group and reassemble every connection."""
+    segments, counters = reference_read_pcap(path)
+    by_key = {}
+    syn_src = {}
+    for seg in segments:
+        by_key.setdefault(seg.key, {}).setdefault(seg.src, []).append(seg)
+        if seg.flags & SYN and seg.key not in syn_src:
+            syn_src[seg.key] = seg.src
+    traces = []
+    for key, by_src in by_key.items():
+        client = syn_src.get(key) or next(iter(by_src))
+        server = key.b if client == key.a else key.a
+        conn_id = f"{client[0]}:{client[1]}-{server[0]}:{server[1]}"
+        merged = []
+        for endpoint, direction in (
+            (client, Direction.PAYLOAD_TO_FRAMEWORK),
+            (server, Direction.FRAMEWORK_TO_PAYLOAD),
+        ):
+            stream = extract.reassemble(by_src.get(endpoint, []), counters)
+            for rec in extract.parse_tls_records(stream, counters):
+                if rec.content_type != TLS_APPDATA:
+                    continue
+                if rec.size > MAX_RECORD_SIZE:
+                    raise PcapFormatError(
+                        f"connection {conn_id}: application-data record of {rec.size} bytes exceeds {MAX_RECORD_SIZE}"
+                    )
+                merged.append((rec.timestamp, rec.completing_index, direction, rec.size))
+        if not merged:
+            counters.flows_without_appdata += 1
+            continue
+        merged.sort(key=lambda m: (m[0], m[1]))
+        traces.append(FlowTrace(conn_id, tuple(RecordEvent(ts, d, size) for ts, _i, d, size in merged)))
+    return traces, counters
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +276,93 @@ def test_emit_pcap_is_byte_identical_to_reference(tmp_path, seed):
     emit_pcap(tmp_path / "fast.pcap", conns, cfg, seed=seed)
     reference_emit_pcap(tmp_path / "ref.pcap", conns, cfg, seed=seed)
     assert _sha(tmp_path / "fast.pcap") == _sha(tmp_path / "ref.pcap")
+
+
+def _alternating(t: float, sizes: list[int]) -> tuple:
+    """A connection of alternating requests and responses, 0.1 s apart from t."""
+    directions = (Direction.PAYLOAD_TO_FRAMEWORK, Direction.FRAMEWORK_TO_PAYLOAD)
+    return tuple((round(t + 0.1 * i, 6), directions[i % 2], size) for i, size in enumerate(sizes))
+
+
+def _timelines_starting_together(seed: int) -> list:
+    # each kind runs on its own clock from 1.0 s, so their first connections
+    # open together and their connections interleave by index
+    cfg = SimConfig(seed=seed)
+    regular = generate_c2_traces(5, cfg).conn_records
+    rand_req = generate_c2_traces(5, SimConfig(seed=seed, mode=Provenance.RAND_REQ)).conn_records
+    web = generate_web_traces(5, cfg, seed=seed + 1).conn_records
+    return regular + rand_req + web
+
+
+# Connections whose opens do not follow their index, and frames that tie on
+# their timestamp: emission builds connections as they open, and must still
+# write the frames in (timestamp, IP id) order.
+EMISSION_CASES = {
+    "opens out of index order": lambda seed: [
+        _alternating(6.0, [300, 900]),
+        _alternating(1.0, [304, 16408, 5000, 1]),
+        _alternating(3.5, [2000, 3000]),
+        _alternating(0.5, [600, 40, 7000]),
+    ],
+    "timelines starting together": _timelines_starting_together,
+    # connections 0 and 2 open on one timestamp, and every frame of one ties
+    # with a frame of the other, so the IP id alone orders them
+    "opens on one timestamp": lambda seed: [
+        _alternating(2.0, [304, 16408, 700]),
+        _alternating(1.0, [500, 500]),
+        _alternating(2.0, [1500, 3000, 16408]),
+    ],
+    # records stamped before their connection's SYN, and a FIN due before
+    # the last records: the connection opens with its earliest frame
+    "records out of time order": lambda seed: [
+        _alternating(2.0, [400, 800]),
+        (
+            (3.0, Direction.PAYLOAD_TO_FRAMEWORK, 304),
+            (1.0, Direction.FRAMEWORK_TO_PAYLOAD, 9000),
+            (2.5, Direction.PAYLOAD_TO_FRAMEWORK, 700),
+            (1.5, Direction.FRAMEWORK_TO_PAYLOAD, 200),
+        ),
+        _alternating(1.2, [350, 16408]),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMISSION_CASES))
+@pytest.mark.parametrize("seed", [1, 2])
+def test_emit_pcap_matches_reference_when_opens_leave_index_order(tmp_path, case, seed):
+    conns = EMISSION_CASES[case](seed)
+    cfg = SimConfig(seed=seed)
+    opens = [sim.conn_open_close(records)[0] for records in conns]
+    assert opens != sorted(opens) or len(set(opens)) < len(opens)
+    emit_pcap(tmp_path / "fast.pcap", conns, cfg, seed=seed)
+    reference_emit_pcap(tmp_path / "ref.pcap", conns, cfg, seed=seed)
+    assert _sha(tmp_path / "fast.pcap") == _sha(tmp_path / "ref.pcap")
+
+
+def test_emit_pcap_holds_only_the_open_connections(tmp_path, monkeypatch):
+    """Frames built but not yet written never exceed one connection's worth
+    when the connections do not overlap in time."""
+    cfg = SimConfig(seed=3)
+    conns = [_alternating(1.0 + 2.0 * i, [304, 16408, 5000, 16408]) for i in range(6)][::-1]
+    per_conn = len(conn_frame_plan(conns[0], cfg))
+    held = [0]
+    peak = [0]
+
+    def counted_build_frame(*args):
+        held[0] += 1
+        peak[0] = max(peak[0], held[0])
+        return wire.build_frame(*args)
+
+    def counted_write_packet(self, timestamp, frame):
+        held[0] -= 1
+        return write_packet(self, timestamp, frame)
+
+    write_packet = PcapWriter.write_packet
+    monkeypatch.setattr(sim, "build_frame", counted_build_frame)
+    monkeypatch.setattr(PcapWriter, "write_packet", counted_write_packet)
+    emit_pcap(tmp_path / "seq.pcap", conns, cfg, seed=3)
+    assert held[0] == 0
+    assert peak[0] == per_conn
 
 
 @given(

@@ -24,7 +24,8 @@ from c2lab.sim import (
     generate_c2_traces,
     generate_web_traces,
 )
-from c2lab.wire import ACK, PSH, SYN, PcapFormatError, PcapWriter, build_frame, parse_frame, read_packets
+from c2lab import extract
+from c2lab.wire import ACK, FIN, PSH, RST, SYN, PcapFormatError, PcapWriter, build_frame, parse_frame, read_packets
 
 CLIENT = ("10.0.0.1", 40001)
 SERVER = ("10.8.0.2", 443)
@@ -274,6 +275,111 @@ def test_rejected_frame_names_its_packet(tmp_path, damage, position):
             writer.write_packet(1.0 + i, frame)
     message = damage.split(" (")[0]
     with pytest.raises(PcapFormatError, match=f"^packet {position}: {re.escape(message)}$"):
-        read_pcap(path)
+        list(read_pcap(path, ExtractionCounters()))
     with pytest.raises(PcapFormatError, match=f"^packet {position}: {re.escape(message)}$"):
+        traces_from_pcap(path)
+
+
+# ---------------------------------------------------------------------------
+# streaming: a connection is finished once it has closed
+
+
+def _write_packets(path, packets):
+    with open(path, "wb") as fh:
+        writer = PcapWriter(fh)
+        for ts, frame in packets:
+            writer.write_packet(ts, frame)
+    return path
+
+
+ONE_CONN = (
+    (1.0, Direction.PAYLOAD_TO_FRAMEWORK, 304),
+    (1.1, Direction.FRAMEWORK_TO_PAYLOAD, 2000),
+)
+
+
+def _after_close(path, records, frames):
+    """The capture of one emitted connection, with frames of its 4-tuple after its close."""
+    emit_pcap(path, [records], SimConfig(seed=8), seed=1)
+    packets = list(read_packets(path))
+    last = packets[-1][0]
+    return _write_packets(path, packets + [(last + 0.01 * (i + 1), f) for i, f in enumerate(frames)])
+
+
+def _from_client(seq, flags, payload=b""):
+    client = _client(0)
+    return build_frame(client[0], SERVER[0], client[1], SERVER[1], seq, 5000, flags, payload)
+
+
+def test_data_and_syn_after_both_fins_are_counted_not_merged(tmp_path):
+    path = _after_close(
+        tmp_path / "after.pcap",
+        ONE_CONN,
+        [
+            _from_client(9000, ACK),  # bare ACK: changes nothing
+            _from_client(9000, FIN | ACK),  # retransmitted FIN: changes nothing
+            _from_client(9001, PSH | ACK, tls(23, b"\x00" * 64)),
+            _from_client(7000, SYN),  # the 4-tuple reused by a new connection
+        ],
+    )
+    traces, counters = traces_from_pcap(path)
+    assert [[r.size for r in t.records] for t in traces] == [[304, 2000]]
+    assert counters.segments_after_close == 2
+    assert counters.tcp_gaps == counters.duplicate_segments == counters.tls_parse_errors == 0
+
+
+def test_an_rst_closes_the_connection(tmp_path):
+    emit_pcap(tmp_path / "one.pcap", [ONE_CONN], SimConfig(seed=8), seed=1)
+    packets = list(read_packets(tmp_path / "one.pcap"))
+    # the RST replaces both FINs; the data segment after it is not merged
+    packets = packets[:-2] + [
+        (packets[-2][0], _from_client(9000, RST | ACK)),
+        (packets[-1][0], _from_client(9000, PSH | ACK, tls(23, b"\x00" * 64))),
+    ]
+    traces, counters = traces_from_pcap(_write_packets(tmp_path / "rst.pcap", packets))
+    assert [[r.size for r in t.records] for t in traces] == [[304, 2000]]
+    assert counters.segments_after_close == 1
+
+
+def test_a_connection_is_finished_when_it_closes(tmp_path, monkeypatch):
+    # three connections one after another: each is reassembled as soon as
+    # its second FIN is read, not at the end of the capture
+    cfg = SimConfig(seed=8)
+    conns = [tuple((ts + 2.0 * i, d, size) for ts, d, size in ONE_CONN) for i in range(3)]
+    path = tmp_path / "seq.pcap"
+    emit_pcap(path, conns, cfg, seed=1)
+    per_conn = len(list(read_packets(path))) // 3
+    frames_read = [0]
+    at_reassembly = []
+
+    def counted_read_packets(p):
+        for item in read_packets(p):
+            frames_read[0] += 1
+            yield item
+
+    def recorded_reassemble(segments, counters):
+        at_reassembly.append(frames_read[0])
+        return reassemble(segments, counters)
+
+    monkeypatch.setattr(extract, "read_packets", counted_read_packets)
+    monkeypatch.setattr(extract, "reassemble", recorded_reassemble)
+    traces, _counters = traces_from_pcap(path)
+    assert len(traces) == 3
+    # two directions per connection
+    assert at_reassembly == [per_conn] * 2 + [2 * per_conn] * 2 + [3 * per_conn] * 2
+
+
+def test_the_first_connection_by_first_segment_is_named_whichever_closes_first(tmp_path):
+    # connection 0 opens first and closes last; connection 1 closes first
+    long_lived = ((1.0, Direction.PAYLOAD_TO_FRAMEWORK, 304), (1.1, Direction.FRAMEWORK_TO_PAYLOAD, 16464),
+                  (5.0, Direction.PAYLOAD_TO_FRAMEWORK, 304))
+    short = ((2.0, Direction.PAYLOAD_TO_FRAMEWORK, 304), (2.1, Direction.FRAMEWORK_TO_PAYLOAD, 16470))
+    path = tmp_path / "two.pcap"
+    emit_pcap(path, [long_lived, short], SimConfig(seed=8), seed=1)
+    with pytest.raises(PcapFormatError, match=re.escape(f"connection {_conn_id(0)}") + ".* 16464 bytes"):
+        traces_from_pcap(path)
+    # a frame that cannot be parsed, after both connections, is named instead
+    packets = list(read_packets(path))
+    _write_packets(path, packets + [(packets[-1][0], packets[-1][1][:30])])
+    with pytest.raises(PcapFormatError, match=f"^packet {len(packets)}: truncated IPv4 header$"):
         traces_from_pcap(path)
