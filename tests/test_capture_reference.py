@@ -1,7 +1,8 @@
 """The capture fast path against the per-frame implementation it replaced.
 
-``reference_*`` below are the straightforward versions of frame building,
-capture emission, frame parsing and extraction: one ``rng.bytes`` draw per
+``reference_*`` below are the straightforward versions of frame planning,
+frame building, capture emission, frame parsing and extraction: one
+``rng.bytes`` draw per
 record, every header packed and checksummed word by word, one stream key
 per frame, every frame held until one final sort, and every segment of the
 capture read before any connection is grouped and reassembled. The
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -22,13 +24,15 @@ from c2lab import extract, sim, wire
 from c2lab.extract import ExtractionCounters, SegmentRecord, TcpStreamKey
 from c2lab.model import MAX_RECORD_SIZE, Direction, FlowTrace, Provenance, RecordEvent
 from c2lab.sim import SimConfig, conn_frame_plan, emit_pcap, generate_c2_traces, generate_web_traces, substream
-from c2lab.sizing import TLS_APPDATA
+from c2lab.sizing import RECORD_HEADER_LEN, TLS_APPDATA, TLS_HANDSHAKE
 from c2lab.wire import (
+    ACK,
     ETH_LEN,
     ETHERTYPE_IPV4,
     FIN,
     IP_LEN,
     IP_PROTO_TCP,
+    PSH,
     SYN,
     TCP_LEN,
     ParsedSegment,
@@ -40,6 +44,50 @@ from oracles import ipv4_checksum
 
 # ---------------------------------------------------------------------------
 # reference implementation
+
+
+@dataclass
+class ReferenceFrameSpec:
+    ts: float
+    from_client: bool
+    flags: int
+    # (content_type, record_len, chunk_offset, chunk_len); None for bare TCP
+    record: tuple[int, int, int, int] | None
+
+
+def reference_conn_frame_plan(records, cfg) -> list[ReferenceFrameSpec]:
+    """A connection's frames in plan order: the TCP handshake, both TLS
+    handshake records, the records, then the two FINs, every time rounded
+    to 6 places and every record split into mss-sized chunks of its header
+    and body."""
+    if not records:
+        raise ValueError("a connection must carry records")
+    t0 = round(records[0][0] - 0.005, 6)
+    t_end = records[-1][0]
+    c_len, s_len = sim._handshake_record_lens(cfg.handshake_wire_bytes, cfg.mss)
+    flights = [
+        (round(t0, 6), True, SYN, 0, 0),
+        (round(t0 + 0.0002, 6), False, SYN | ACK, 0, 0),
+        (round(t0 + 0.0004, 6), True, ACK, 0, 0),
+        (round(t0 + 0.0010, 6), True, PSH | ACK, TLS_HANDSHAKE, c_len),
+        (round(t0 + 0.0020, 6), False, PSH | ACK, TLS_HANDSHAKE, s_len),
+        *(
+            (round(ts, 6), direction is Direction.PAYLOAD_TO_FRAMEWORK, PSH | ACK, TLS_APPDATA, size)
+            for ts, direction, size in records
+        ),
+        (round(t_end + 0.0010, 6), True, FIN | ACK, 0, 0),
+        (round(t_end + 0.0015, 6), False, FIN | ACK, 0, 0),
+    ]
+    plan = []
+    for ts, from_client, flags, ctype, rec_len in flights:
+        if not ctype:
+            plan.append(ReferenceFrameSpec(ts, from_client, flags, None))
+            continue
+        total = RECORD_HEADER_LEN + rec_len
+        for start in range(0, total, cfg.mss):
+            chunk = min(cfg.mss, total - start)
+            plan.append(ReferenceFrameSpec(ts, from_client, flags, (ctype, rec_len, start, chunk)))
+    return plan
 
 
 def _reference_mac_for(ip: str) -> bytes:
@@ -111,7 +159,7 @@ def reference_emit_pcap(path, conn_records, cfg, seed=0) -> None:
         server = ("10.8.0.2", 443)
         seqs = {True: 1000, False: 2000}
         current_blob = b""
-        for spec in conn_frame_plan(records, cfg):
+        for spec in reference_conn_frame_plan(records, cfg):
             src, dst = (client, server) if spec.from_client else (server, client)
             payload = b""
             if spec.record is not None:
