@@ -34,8 +34,7 @@ from .sim import (
     Mode,
     SimConfig,
     WebConfig,
-    conn_open_close,
-    conn_wire_bytes,
+    conn_shape,
     generate_c2_traces,
     generate_web_traces,
     interactive_script,
@@ -269,8 +268,7 @@ def build_dataset(
     """Labeled flows of one provenance, seeded by (master, stage, provenance)."""
     seed = seed_for(ec.master_seed, f"{stage}-{provenance.value}")
     if provenance is Provenance.WEB:
-        cfg = replace(ec.sim, seed=seed)
-        flows = generate_web_traces(n, cfg, ec.web)
+        flows = generate_web_traces(n, seed, ec.web)
     else:
         cfg = replace(ec.sim, mode=mode_for(provenance, library), seed=seed)
         flows = generate_c2_traces(n, cfg)
@@ -451,10 +449,11 @@ def run_overhead(
             result = simulate_session(script, cfg, session_index=0)
             conn_records = result.conns
             appdata = [sum(r[2] for r in records) for records in conn_records]
-            opens = [conn_open_close(records)[0] for records in conn_records]
+            shapes = [conn_shape(records, cfg) for records in conn_records]
+            opens = [shape.open_ts for shape in shapes]
             per_mode[mode_name] = {
                 "appdata_bytes": int(sum(appdata)),
-                "wire_bytes": int(sum(conn_wire_bytes(records, cfg) for records in conn_records)),
+                "wire_bytes": int(sum(shape.wire_bytes for shape in shapes)),
                 "connections": len(conn_records),
                 "runtime": result.runtime,
                 "exchanges": result.n_exchanges(),

@@ -13,8 +13,8 @@ record sizes.
 A connection is a tuple of (time, direction, size) records from the
 session to the dataset. conn_frame_plan lays out its frames (handshake,
 MSS-sized data segments, teardown) and emit_pcap writes exactly those;
-conn_wire_bytes is the closed form of the plan's byte total, and a test
-checks that the two agree.
+conn_shape is the plan's closed form (open time, frames, ciphertext words,
+wire bytes, longest record), and a test checks that the two agree.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -250,6 +250,15 @@ class SimConfig:
             raise ValueError("handshake_wire_bytes must be >= 600 to build a handshake")
         if self.mss < 600:
             raise ValueError("mss must be >= 600")
+        try:
+            fits = _handshake_record_lens(self.handshake_wire_bytes, self.mss)[1] <= MAX_HEADER_RECORD_LEN
+        except ValueError:  # no server record length meets the budget
+            fits = False
+        if not fits:
+            raise ValueError(
+                f"handshake_wire_bytes ({self.handshake_wire_bytes}) cannot be met at mss {self.mss} "
+                f"with a server handshake record of at most {MAX_HEADER_RECORD_LEN} bytes"
+            )
         for name in ("rtt", "exec_delay", "url_jitter", "response_jitter"):
             value = getattr(self, name)
             if not value >= 0:
@@ -532,11 +541,6 @@ def _record_frames(rec_len: int, mss: int) -> int:
     return -(-(RECORD_HEADER_LEN + rec_len) // mss)
 
 
-def _record_wire(rec_len: int, mss: int) -> int:
-    """Wire bytes of one TLS record: header, body and one frame per mss chunk."""
-    return RECORD_HEADER_LEN + rec_len + FRAME_OVERHEAD * _record_frames(rec_len, mss)
-
-
 # Bare TCP frames of a connection as (seconds after open or after the last
 # record, from_client, flags): the handshake before the TLS flights and the two FINs.
 _TCP_OPEN = ((0.0, True, SYN), (0.0002, False, SYN | ACK), (0.0004, True, ACK))
@@ -548,16 +552,19 @@ def _handshake_record_lens(handshake_wire_bytes: int, mss: int) -> tuple[int, in
     """Client and server handshake record lengths filling the wire budget.
 
     Solved so the TCP handshake plus both flights cost handshake_wire_bytes
-    on the wire exactly when possible, overshooting minimally otherwise.
+    on the wire exactly when possible, overshooting minimally otherwise. The
+    search covers every server record a TLS record header can state.
     """
     client_len = 283
-    remaining = handshake_wire_bytes - len(_TCP_OPEN) * FRAME_OVERHEAD - _record_wire(client_len, mss)
-    for frames in range(1, 64):
+    client_wire = RECORD_HEADER_LEN + client_len + FRAME_OVERHEAD * _record_frames(client_len, mss)
+    remaining = handshake_wire_bytes - len(_TCP_OPEN) * FRAME_OVERHEAD - client_wire
+    frame_counts = range(1, _record_frames(MAX_HEADER_RECORD_LEN, mss) + 1)
+    for frames in frame_counts:
         server_len = remaining - RECORD_HEADER_LEN - FRAME_OVERHEAD * frames
         if server_len >= 1 and _record_frames(server_len, mss) == frames:
             return client_len, server_len
     # no exact fit: smallest overshoot with the next frame count
-    for frames in range(1, 64):
+    for frames in frame_counts:
         low = (frames - 1) * mss - 4  # smallest record needing this many frames
         server_len = max(low, remaining - RECORD_HEADER_LEN - FRAME_OVERHEAD * frames)
         if server_len >= 1 and _record_frames(server_len, mss) == frames:
@@ -565,60 +572,62 @@ def _handshake_record_lens(handshake_wire_bytes: int, mss: int) -> tuple[int, in
     raise ValueError("handshake budget unsatisfiable")
 
 
-# Not frozen: one is built per frame, and frozen dataclasses are slow to build.
-@dataclass(slots=True)
-class FrameSpec:
-    ts: float
-    from_client: bool
-    flags: int
-    # (content_type, record_len, chunk_offset, chunk_len); None for bare TCP
-    record: tuple[int, int, int, int] | None
+def conn_frame_plan(records: Sequence[Record], cfg: SimConfig) -> list[tuple[float, bool, int, int, int, int, int]]:
+    """A connection's frames in plan order: its TCP handshake, both TLS
+    handshake records, its records, then the two FINs.
 
-
-def _conn_flights(records: Sequence[Record], cfg: SimConfig) -> list[tuple[float, bool, int, int, int]]:
-    """A connection's TCP handshake, TLS records and FINs in plan order.
-
-    Each is (ts, from_client, flags, content_type, record_len); a bare TCP
-    frame has content type 0, and a record goes out as the frames of its
-    _chunk_layout.
+    Each frame is (ts, from_client, flags, content_type, record_len,
+    chunk_start, chunk_end), a record going out as the frames of its
+    _chunk_layout; a bare TCP frame has content type 0 and an empty chunk.
+    Record times are taken as given.
     """
     if not records:
         raise ValueError("a connection must carry records")
+    mss = cfg.mss
     t0 = round(records[0][0] - HANDSHAKE_LEAD, 6)
     t_end = records[-1][0]
-    c_len, s_len = _handshake_record_lens(cfg.handshake_wire_bytes, cfg.mss)
-    return [
-        *((round(t0 + dt, 6), from_client, flags, 0, 0) for dt, from_client, flags in _TCP_OPEN),
-        (round(t0 + 0.0010, 6), True, PSH | ACK, TLS_HANDSHAKE, c_len),
-        (round(t0 + 0.0020, 6), False, PSH | ACK, TLS_HANDSHAKE, s_len),
-        *(
-            (round(ts, 6), direction is Direction.PAYLOAD_TO_FRAMEWORK, PSH | ACK, TLS_APPDATA, size)
-            for ts, direction, size in records
-        ),
-        *((round(t_end + dt, 6), from_client, flags, 0, 0) for dt, from_client, flags in _TCP_CLOSE),
-    ]
-
-
-def conn_frame_plan(records: Sequence[Record], cfg: SimConfig) -> list[FrameSpec]:
-    plan = []
-    for ts, from_client, flags, ctype, rec_len in _conn_flights(records, cfg):
-        if not ctype:
-            plan.append(FrameSpec(ts, from_client, flags, None))
-            continue
-        for start, end in _chunk_layout(rec_len, cfg.mss):
-            plan.append(FrameSpec(ts, from_client, flags, (ctype, rec_len, start, end - start)))
+    c_len, s_len = _handshake_record_lens(cfg.handshake_wire_bytes, mss)
+    flights = [(round(t0 + 0.0010, 6), True, TLS_HANDSHAKE, c_len), (round(t0 + 0.0020, 6), False, TLS_HANDSHAKE, s_len)]
+    flights += [(ts, direction is Direction.PAYLOAD_TO_FRAMEWORK, TLS_APPDATA, size) for ts, direction, size in records]
+    plan = [(round(t0 + dt, 6), from_client, flags, 0, 0, 0, 0) for dt, from_client, flags in _TCP_OPEN]
+    for ts, from_client, ctype, rec_len in flights:
+        for start, end in _chunk_layout(rec_len, mss):
+            plan.append((ts, from_client, PSH | ACK, ctype, rec_len, start, end))
+    plan.extend((round(t_end + dt, 6), from_client, flags, 0, 0, 0, 0) for dt, from_client, flags in _TCP_CLOSE)
     return plan
 
 
-def conn_wire_bytes(records: Sequence[Record], cfg: SimConfig) -> int:
-    """Wire bytes of conn_frame_plan(records, cfg), without building its frames."""
-    return sum(
-        _record_wire(rec_len, cfg.mss) if ctype else FRAME_OVERHEAD for *_, ctype, rec_len in _conn_flights(records, cfg)
-    )
+class ConnShape(NamedTuple):
+    """What a connection's frame plan adds up to."""
+
+    open_ts: float  # the earliest frame: the SYN, or a record stamped before it
+    frames: int
+    words: int  # ciphertext words: ceil(record_len / 4) per TLS record
+    wire_bytes: int  # FRAME_OVERHEAD per frame plus every record's header and body
+    longest: int  # the longest TLS record, handshake records included
 
 
-def conn_open_close(records: Sequence[Record]) -> tuple[float, float]:
-    return round(records[0][0] - HANDSHAKE_LEAD, 6), round(records[-1][0] + FIN_TRAIL, 6)
+def conn_shape(records: Sequence[Record], cfg: SimConfig) -> ConnShape:
+    """conn_frame_plan(records, cfg) in closed form, in one pass over the
+    records and building no frame."""
+    if not records:
+        raise ValueError("a connection must carry records")
+    mss = cfg.mss
+    c_len, s_len = _handshake_record_lens(cfg.handshake_wire_bytes, mss)
+    frames = len(_TCP_OPEN) + len(_TCP_CLOSE) + _record_frames(c_len, mss) + _record_frames(s_len, mss)
+    words = (c_len + 3) // 4 + (s_len + 3) // 4
+    body, longest = c_len + s_len, max(c_len, s_len)
+    earliest = round(records[0][0] - HANDSHAKE_LEAD, 6)
+    for ts, _direction, size in records:
+        frames += _record_frames(size, mss)
+        words += (size + 3) // 4
+        body += size
+        if ts < earliest:
+            earliest = ts
+        if size > longest:
+            longest = size
+    headers = RECORD_HEADER_LEN * (len(records) + 2)
+    return ConnShape(earliest, frames, words, FRAME_OVERHEAD * frames + headers + body, longest)
 
 
 # ---------------------------------------------------------------------------
@@ -731,10 +740,10 @@ def _api_poll_records(rng: np.random.Generator, web: WebConfig, t: float) -> lis
     return records
 
 
-def generate_web_traces(n_flows: int, cfg: SimConfig, web: WebConfig | None = None, seed: int | None = None) -> GeneratedFlows:
+def generate_web_traces(n_flows: int, seed: int, web: WebConfig | None = None) -> GeneratedFlows:
     """Browsing-like flows: one request, then a heavy-tailed mix of records."""
     web = web or WebConfig()
-    rng = substream(cfg.seed if seed is None else seed, "web")
+    rng = substream(seed, "web")
     out = GeneratedFlows([])
     cursor = 1.0
     full = 16408
@@ -776,8 +785,6 @@ def generate_web_traces(n_flows: int, cfg: SimConfig, web: WebConfig | None = No
 MAX_HEADER_RECORD_LEN = 0xFFFF  # the TLS record header's length field is 16 bits
 # a TLS record header: content type, version (0x0303, TLS 1.2) and length
 _TLS_RECORD_HEADER = struct.Struct("!BHH")
-# a bare TCP frame: one frame with an empty payload
-_BARE_LAYOUT = ((0, 0),)
 # a heap bound no frame reaches
 _NO_FRAME = (math.inf,)
 
@@ -797,44 +804,24 @@ def _conn_starts(conn_records: Sequence[Sequence[Record]], cfg: SimConfig) -> li
     """(open time, index, first IP id, first ciphertext word, words) of each
     connection, in the order the connections open.
 
-    Closed form over the records, building no frame: IP ids number every
-    frame in connection order, then plan order, and the ciphertext words
-    follow the same order. The open time is the connection's earliest frame
-    time: its SYN, or a record stamped before it. An oversize record raises
+    Read off each connection's conn_shape, building no frame: IP ids number
+    every frame in connection order, then plan order, and the ciphertext
+    words follow the same order. An oversize record raises
     RecordTooLargeError here, before anything is written.
     """
-    mss = cfg.mss
-    c_len, s_len = _handshake_record_lens(cfg.handshake_wire_bytes, mss)
-    # per connection: the bare TCP frames and both TLS handshake records
-    handshake_frames = len(_TCP_OPEN) + len(_TCP_CLOSE) + _record_frames(c_len, mss) + _record_frames(s_len, mss)
-    handshake_words = (c_len + 3) // 4 + (s_len + 3) // 4
     starts = []
     ip_id = word = 0
     for idx, records in enumerate(conn_records):
-        if not records:
-            raise ValueError("a connection must carry records")
-        frames, words, first = handshake_frames, handshake_words, records[0][0]
-        earliest, largest = first, max(c_len, s_len)
-        for ts, _direction, size in records:
-            frames += _record_frames(size, mss)
-            words += (size + 3) // 4
-            if ts < earliest:
-                earliest = ts
-            if size > largest:
-                largest = size
-        if largest > MAX_HEADER_RECORD_LEN:
-            rec_len = next(n for n in (c_len, s_len, *(r[2] for r in records)) if n > MAX_HEADER_RECORD_LEN)
+        shape = conn_shape(records, cfg)
+        if shape.longest > MAX_HEADER_RECORD_LEN:
             client_ip, client_port = _client_endpoint(idx)
             raise RecordTooLargeError(
                 f"connection {idx} ({client_ip}:{client_port}-{_SERVER_IP}:{_SERVER_PORT}): record of "
-                f"{rec_len} bytes exceeds the {MAX_HEADER_RECORD_LEN} a TLS record header can state"
+                f"{shape.longest} bytes exceeds the {MAX_HEADER_RECORD_LEN} a TLS record header can state"
             )
-        open_ts = round(first - HANDSHAKE_LEAD, 6)
-        if earliest < first:
-            open_ts = min(open_ts, round(earliest, 6))
-        starts.append((open_ts, idx, ip_id, word, words))
-        ip_id += frames
-        word += words
+        starts.append((shape.open_ts, idx, ip_id, word, shape.words))
+        ip_id += shape.frames
+        word += shape.words
     starts.sort()
     return starts
 
@@ -846,35 +833,28 @@ def _conn_frames(
     client_ip, client_port = _client_endpoint(idx)
     server_ip, server_port = _SERVER_IP, _SERVER_PORT
     frames: list[tuple[float, int, bytes]] = []
-    cipher_pos = 0
+    blob, cipher_pos = b"", 0
     client_seq, server_seq = 1000, 2000
     in_order, last_ts = True, -1.0
-    for ts, from_client, flags, ctype, rec_len in _conn_flights(records, cfg):
-        if ctype:
-            header = _TLS_RECORD_HEADER.pack(ctype, 0x0303, rec_len)
-            blob = header + ciphertext[cipher_pos : cipher_pos + rec_len]
+    for ts, from_client, flags, ctype, rec_len, start, end in conn_frame_plan(records, cfg):
+        if ctype and not start:
+            blob = _TLS_RECORD_HEADER.pack(ctype, 0x0303, rec_len) + ciphertext[cipher_pos : cipher_pos + rec_len]
             cipher_pos += 4 * ((rec_len + 3) // 4)
-            layout = _chunk_layout(rec_len, cfg.mss)
-        else:
-            blob, layout = b"", _BARE_LAYOUT
         if ts < last_ts:
             in_order = False
         last_ts = ts
-        # SYN and FIN take one sequence number each
+        # a bare frame's chunk (0, 0) is empty; SYN and FIN take one sequence number each
+        payload = blob[start:end]
         step = 1 if flags & (SYN | FIN) else 0
-        for start, end in layout:
-            payload = blob[start:end]
-            if from_client:
-                ack = 0 if flags == SYN else server_seq
-                frame = build_frame(client_ip, server_ip, client_port, server_port, client_seq, ack, flags, payload, ip_id)
-                client_seq += step + len(payload)
-            else:
-                frame = build_frame(
-                    server_ip, client_ip, server_port, client_port, server_seq, client_seq, flags, payload, ip_id
-                )
-                server_seq += step + len(payload)
-            frames.append((ts, ip_id, frame))
-            ip_id += 1
+        if from_client:
+            ack = 0 if flags == SYN else server_seq
+            frame = build_frame(client_ip, server_ip, client_port, server_port, client_seq, ack, flags, payload, ip_id)
+            client_seq += step + len(payload)
+        else:
+            frame = build_frame(server_ip, client_ip, server_port, client_port, server_seq, client_seq, flags, payload, ip_id)
+            server_seq += step + len(payload)
+        frames.append((ts, ip_id, frame))
+        ip_id += 1
     if not in_order:
         # (timestamp, IP id) is unique, so the frames are never compared
         frames.sort()
@@ -890,10 +870,10 @@ def emit_pcap(
     """Write the planned connections as a capture file.
 
     Every frame the wire-byte accounting promised is emitted literally:
-    conn_frame_plan's frames, from the same flights and chunk layouts, with
-    ciphertext drawn from the seed. A record over MAX_HEADER_RECORD_LEN
-    bytes raises RecordTooLargeError naming its connection, and nothing is
-    written.
+    conn_frame_plan's frames, with ciphertext drawn from the seed. Record
+    times are taken as given; the generators round them to 6 places. A
+    record over MAX_HEADER_RECORD_LEN bytes raises RecordTooLargeError
+    naming its connection, and nothing is written.
 
     Frames go out in (timestamp, IP id) order, where IP ids number every
     frame in connection order, then plan order. Connections are built in

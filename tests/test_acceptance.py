@@ -181,7 +181,7 @@ def _planned_capture_conns():
     ]
     for mode, n, seed in c2_modes:
         planned.extend(generate_c2_traces(n, replace(base, mode=mode, seed=seed)).conn_records)
-    planned.extend(generate_web_traces(100, base, seed=47).conn_records)
+    planned.extend(generate_web_traces(100, 47).conn_records)
 
     def big_conn(i):
         t = 4000.0 + 3.0 * i

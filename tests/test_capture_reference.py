@@ -1,13 +1,12 @@
 """The capture fast path against the per-frame implementation it replaced.
 
 ``reference_*`` below are the straightforward versions of frame planning,
-frame building, capture emission, frame parsing and extraction: one
-``rng.bytes`` draw per
-record, every header packed and checksummed word by word, one stream key
-per frame, every frame held until one final sort, and every segment of the
-capture read before any connection is grouped and reassembled. The
-streaming fast path must write byte-identical captures and extract
-identical traces and counters.
+frame building, capture emission, frame parsing and extraction: every
+frame time rounded again, one ``rng.bytes`` draw per record, every header
+packed and checksummed word by word, one stream key per frame, every frame
+held until one final sort, and every segment of the capture read before
+any connection is grouped and reassembled. The streaming fast path must
+write byte-identical captures and extract identical traces and counters.
 """
 
 from __future__ import annotations
@@ -304,7 +303,7 @@ SPLIT_CONN = (
 def c2_web_mix(seed: int) -> tuple[list, SimConfig]:
     cfg = SimConfig(seed=seed)
     c2 = generate_c2_traces(12, cfg)
-    web = generate_web_traces(8, cfg, seed=seed + 1)
+    web = generate_web_traces(8, seed + 1)
     conns = c2.conn_records + web.conn_records + [SPLIT_CONN]
     assert any(size > cfg.mss for records in conns for _ts, _d, size in records)
     return conns, cfg
@@ -338,7 +337,7 @@ def _timelines_starting_together(seed: int) -> list:
     cfg = SimConfig(seed=seed)
     regular = generate_c2_traces(5, cfg).conn_records
     rand_req = generate_c2_traces(5, SimConfig(seed=seed, mode=Provenance.RAND_REQ)).conn_records
-    web = generate_web_traces(5, cfg, seed=seed + 1).conn_records
+    web = generate_web_traces(5, seed + 1).conn_records
     return regular + rand_req + web
 
 
@@ -380,7 +379,7 @@ EMISSION_CASES = {
 def test_emit_pcap_matches_reference_when_opens_leave_index_order(tmp_path, case, seed):
     conns = EMISSION_CASES[case](seed)
     cfg = SimConfig(seed=seed)
-    opens = [sim.conn_open_close(records)[0] for records in conns]
+    opens = [sim.conn_shape(records, cfg).open_ts for records in conns]
     assert opens != sorted(opens) or len(set(opens)) < len(opens)
     emit_pcap(tmp_path / "fast.pcap", conns, cfg, seed=seed)
     reference_emit_pcap(tmp_path / "ref.pcap", conns, cfg, seed=seed)
@@ -633,7 +632,7 @@ def test_chunk_boundary_records_emit_like_the_reference(tmp_path):
         client = parsed.dst_port if parsed.src_port == 443 else parsed.src_port
         wire_bytes[client] = wire_bytes.get(client, 0) + len(frame)
     assert [wire_bytes[40000 + idx] for idx in range(len(conns))] == [
-        sim.conn_wire_bytes(records, cfg) for records in conns
+        sim.conn_shape(records, cfg).wire_bytes for records in conns
     ]
     traces, counters = extract.traces_from_pcap(tmp_path / "fast.pcap")
     assert counters == ExtractionCounters(frames_total=len(frames))

@@ -163,6 +163,16 @@ def test_overhead_command(pipeline, tmp_path, capsys):
     assert (out_dir / "overhead/runs.csv").exists()
 
 
+@pytest.mark.parametrize("budget", [70_000, 200_000])
+def test_overhead_names_an_unreachable_handshake_budget(tmp_path, capsys, budget):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sim": {"handshake_wire_bytes": budget}}))
+    plans = _toy_plans_file(tmp_path / "plans.json")
+    argv = ["overhead", "--plans", str(plans), "--runs", "1", "--config", str(cfg), "--out", str(tmp_path / "ov")]
+    assert main(argv) == 2
+    _assert_one_line_error(capsys, f"c2lab: error: {cfg}: sim.handshake_wire_bytes ({budget}) cannot be met at mss 1460")
+
+
 def test_extract_command(tmp_path, capsys):
     cfg = replace(ExperimentConfig().sim, seed=4)
     flows = generate_c2_traces(6, cfg)

@@ -19,7 +19,7 @@ from c2lab.model import Direction
 from c2lab.sim import (
     RecordTooLargeError,
     SimConfig,
-    conn_wire_bytes,
+    conn_shape,
     emit_pcap,
     generate_c2_traces,
     generate_web_traces,
@@ -173,7 +173,7 @@ def _conn_id(idx):
 def test_capture_roundtrip_c2_and_web(tmp_path):
     cfg = SimConfig(seed=31)
     c2 = generate_c2_traces(25, cfg)
-    web = generate_web_traces(15, cfg, seed=32)
+    web = generate_web_traces(15, 32)
     planned = c2.conn_records + web.conn_records
     path = tmp_path / "mix.pcap"
     emit_pcap(path, planned, cfg, seed=5)
@@ -197,7 +197,7 @@ def test_capture_roundtrip_c2_and_web(tmp_path):
             (direction, size) for _ts, direction, size in records
         ]
         # the emitter writes exactly the bytes the accounting charged
-        assert wire_bytes[_client(idx)] == conn_wire_bytes(records, cfg)
+        assert wire_bytes[_client(idx)] == conn_shape(records, cfg).wire_bytes
 
 
 def test_capture_roundtrip_mss_split_record(tmp_path):

@@ -320,6 +320,12 @@ def test_from_dict_nests_range_errors_under_the_section():
         ExperimentConfig.from_dict({"web": {"tail_p": 0}})
 
 
+@pytest.mark.parametrize("budget", [70_000, 200_000])
+def test_from_dict_names_an_unreachable_handshake_budget(budget):
+    with pytest.raises(ValueError, match=rf"^sim\.handshake_wire_bytes \({budget}\) cannot be met at mss 1460 "):
+        ExperimentConfig.from_dict({"sim": {"handshake_wire_bytes": budget}})
+
+
 def test_from_dict_stores_ints_as_floats_in_float_fields():
     ec = ExperimentConfig.from_dict({"epsilon_sweep": [1], "sim": {"rtt": 0}})
     assert ec.epsilon_sweep == (1.0,) and type(ec.epsilon_sweep[0]) is float

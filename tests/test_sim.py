@@ -18,8 +18,7 @@ from c2lab.sim import (
     _schedule_plans,
     _workflow,
     conn_frame_plan,
-    conn_open_close,
-    conn_wire_bytes,
+    conn_shape,
     generate_c2_traces,
     generate_web_traces,
     interactive_script,
@@ -30,6 +29,7 @@ from c2lab.sim import (
 from c2lab.sizing import RECORD_HEADER_LEN
 from c2lab.wire import FRAME_OVERHEAD
 from oracles import on_grid
+from test_capture_reference import EMISSION_CASES
 
 CFG = SimConfig(seed=11)
 
@@ -130,6 +130,24 @@ def test_sim_config_rejects_non_modes(mode):
         SimConfig(mode=mode)
 
 
+# 68,474 is the largest budget met at mss 1460; 70,000 takes a 67,007-byte
+# server record, and 200,000 one longer still
+@pytest.mark.parametrize("budget", [70_000, 200_000])
+def test_sim_config_rejects_a_handshake_budget_no_record_header_states(budget):
+    assert SimConfig(handshake_wire_bytes=68_474).handshake_wire_bytes == 68_474
+    with pytest.raises(ValueError, match=rf"^handshake_wire_bytes \({budget}\) cannot be met at mss 1460 "):
+        SimConfig(handshake_wire_bytes=budget)
+
+
+def test_a_handshake_budget_is_met_with_any_record_a_header_states():
+    # a 45,387-byte server record takes 76 frames of mss 600
+    cfg = SimConfig(mss=600, handshake_wire_bytes=50_000)
+    shape = conn_shape([(1.0, Direction.PAYLOAD_TO_FRAMEWORK, 100)], cfg)
+    assert shape.longest == 45_387
+    # the budget, the one record and the two FINs
+    assert shape.wire_bytes == 50_000 + (RECORD_HEADER_LEN + 100 + FRAME_OVERHEAD) + 2 * FRAME_OVERHEAD
+
+
 def test_fixed_stuffing_inflates_every_record():
     sc = script((60, 300))
     plain = simulate_session(sc, SimConfig(seed=11))
@@ -186,7 +204,7 @@ def test_generate_c2_traces_counts_and_clock():
     assert len(flows.traces) == 17
     assert len(flows.conn_records) == 17
     assert flows.sessions >= 1
-    opens = [conn_open_close(records)[0] for records in flows.conn_records]
+    opens = [conn_shape(records, CFG).open_ts for records in flows.conn_records]
     assert opens == sorted(opens)
     assert opens[0] > 0
 
@@ -199,7 +217,7 @@ def test_generated_sizes_are_framed():
 
 
 def test_web_traces_shape():
-    flows = generate_web_traces(40, SimConfig(seed=5), WebConfig())
+    flows = generate_web_traces(40, 5, WebConfig())
     assert len(flows.traces) == 40
     for t in flows.traces:
         assert t.records[0].direction is Direction.PAYLOAD_TO_FRAMEWORK
@@ -208,9 +226,9 @@ def test_web_traces_shape():
 
 
 def test_web_traces_deterministic_and_seed_sensitive():
-    a = generate_web_traces(12, SimConfig(seed=5))
-    b = generate_web_traces(12, SimConfig(seed=5))
-    c = generate_web_traces(12, SimConfig(seed=6))
+    a = generate_web_traces(12, 5)
+    b = generate_web_traces(12, 5)
+    c = generate_web_traces(12, 6)
     assert [t.records for t in a.traces] == [t.records for t in b.traces]
     assert [t.records for t in a.traces] != [t.records for t in c.traces]
 
@@ -273,7 +291,7 @@ def _adversarial_flows(side):
 FLOW_SOURCES = {
     **{mode.value: (lambda seed, mode=mode: generate_c2_traces(9, SimConfig(mode=mode, seed=seed))) for mode in sim.NAIVE_MODES},
     **{f"adv-{side.value}": _adversarial_flows(side) for side in StuffSide},
-    "web": lambda seed: generate_web_traces(9, SimConfig(seed=seed)),
+    "web": lambda seed: generate_web_traces(9, seed),
 }
 
 
@@ -413,6 +431,19 @@ def test_target_at_matches_linear_scan(plan, position):
     assert plan.target_at(position) == scanned
 
 
+def assert_shape_sums_the_plan(records, cfg):
+    plan = conn_frame_plan(records, cfg)
+    # each TLS record's first chunk starts at 0; a bare frame has content type 0
+    record_lens = [rec_len for _ts, _c, _f, ctype, rec_len, start, _end in plan if ctype and not start]
+    assert conn_shape(records, cfg) == (
+        min(frame[0] for frame in plan),
+        len(plan),
+        sum(-(-rec_len // 4) for rec_len in record_lens),
+        sum(FRAME_OVERHEAD + end - start for *_, start, end in plan),
+        max(record_lens),
+    )
+
+
 @st.composite
 def wire_cases(draw):
     mss = draw(st.integers(600, 9000))
@@ -422,23 +453,41 @@ def wire_cases(draw):
     )
     any_size = st.integers(0, MAX_RECORD_SIZE + 64)
     sizes = draw(st.lists(st.one_of(any_size, near_boundary), min_size=1, max_size=24))
-    return sizes, mss, draw(st.integers(600, 40000))
+    # microsecond times, in order or not: a record may precede the SYN
+    times = draw(st.lists(st.integers(0, 5_000_000), min_size=len(sizes), max_size=len(sizes)))
+    dirs = (Direction.PAYLOAD_TO_FRAMEWORK, Direction.FRAMEWORK_TO_PAYLOAD)
+    records = [(round(1.0 + t / 1e6, 6), dirs[i % 2], size) for i, (t, size) in enumerate(zip(times, sizes))]
+    return records, SimConfig(mss=mss, handshake_wire_bytes=draw(st.integers(600, 40000)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(wire_cases())
-def test_conn_wire_bytes_is_the_frame_plan_sum(case):
-    sizes, mss, handshake = case
-    cfg = SimConfig(mss=mss, handshake_wire_bytes=handshake)
-    dirs = (Direction.PAYLOAD_TO_FRAMEWORK, Direction.FRAMEWORK_TO_PAYLOAD)
-    records = [(1.0 + 0.25 * i, dirs[i % 2], size) for i, size in enumerate(sizes)]
-    planned = sum(FRAME_OVERHEAD + (spec.record[3] if spec.record else 0) for spec in conn_frame_plan(records, cfg))
-    assert conn_wire_bytes(records, cfg) == planned
+def test_conn_shape_sums_the_frame_plan(case):
+    assert_shape_sums_the_plan(*case)
 
 
-def test_conn_wire_bytes_needs_records():
+def _overhead_session(seed):
+    """One overhead-stage session per mode, as harness.run_overhead simulates it."""
+    library = tuple(_toy_plan(n, StuffSide.TWO_SIDE) for n in (2, 4, 6, 8))
+    script = interactive_script(substream(seed, "overhead-script"))
+    return [
+        records
+        for mode in (Provenance.REGULAR, Adversarial(StuffSide.TWO_SIDE, library))
+        for records in simulate_session(script, SimConfig(mode=mode, seed=seed)).conns
+    ]
+
+
+@pytest.mark.parametrize("case", [*sorted(EMISSION_CASES), "overhead session"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_conn_shape_sums_the_frame_plan_of_emitted_connections(case, seed):
+    conns = _overhead_session(seed) if case == "overhead session" else EMISSION_CASES[case](seed)
+    for records in conns:
+        assert_shape_sums_the_plan(records, SimConfig(seed=seed))
+
+
+def test_conn_shape_needs_records():
     with pytest.raises(ValueError, match="must carry records"):
-        conn_wire_bytes([], CFG)
+        conn_shape([], CFG)
 
 
 # ---------------------------------------------------------------------------
