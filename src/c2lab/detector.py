@@ -125,8 +125,9 @@ class DetectorParams:
         sizes = [input_len, *hidden_sizes, len(CLASS_ORDER)]
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes, sizes[1:]):
-            scale = np.sqrt(2.0 / fan_in)  # He, matches the ReLU hiddens
-            weights.append((rng.standard_normal((fan_in, fan_out)) * scale).astype(dtype))
+            draw = rng.standard_normal((fan_in, fan_out))
+            draw *= np.sqrt(2.0 / fan_in)  # He, matches the ReLU hiddens
+            weights.append(draw.astype(dtype))
             biases.append(np.zeros(fan_out, dtype=dtype))
         return cls(weights, biases)
 
@@ -303,13 +304,13 @@ def _output_delta(logits: np.ndarray, y: np.ndarray, flush_below: float) -> np.n
     return delta
 
 
-def _hidden_delta(w: np.ndarray, delta: np.ndarray, h: np.ndarray, mask) -> np.ndarray:
-    """Carry delta back through w to the hidden layer whose output (after
-    ReLU and any dropout mask) is h."""
+def _hidden_delta(w: np.ndarray, delta: np.ndarray, active: np.ndarray, mask) -> np.ndarray:
+    """Carry delta back through w to a hidden layer; active marks where its
+    output (after ReLU and any dropout mask) is positive."""
     delta = delta @ w.T
     if mask is not None:
         delta *= mask
-    delta *= h > 0
+    delta *= active
     return delta
 
 
@@ -329,45 +330,38 @@ def _backward(params: DetectorParams, cache, logits, y) -> tuple[list, list]:
         grads_w[i] = h.T @ delta
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
-            delta = _hidden_delta(params.weights[i], delta, h, mask)
+            delta = _hidden_delta(params.weights[i], delta, h > 0, mask)
     return grads_w, grads_b
 
 
-def _float64(params: DetectorParams) -> DetectorParams:
-    return DetectorParams(
-        [w.astype(np.float64) for w in params.weights],
-        [b.astype(np.float64) for b in params.biases],
-        params.norm_scale,
-    )
+class _SignCache(list):
+    """A _forward_core cache keeping only where each layer input is positive."""
+
+    def append(self, pair) -> None:
+        super().append((pair[0] > 0, pair[1]))
 
 
 def input_gradient(params: DetectorParams, x_norm: np.ndarray, y: np.ndarray | int) -> np.ndarray:
     """d(cross-entropy)/d(input) for normalized inputs, dropout off.
 
     Accepts a single row or a batch; per-sample losses are not batch-averaged
-    so each returned row is the gradient of that sample's own loss.
+    so each returned row is the gradient of that sample's own loss. Each
+    layer is widened to float64 before it is transposed: bit for bit a pass
+    over a float64 copy of the net.
     """
     x = np.atleast_2d(np.asarray(x_norm, dtype=np.float64))
     y_arr = np.atleast_1d(np.asarray(y, dtype=np.int64))
     if len(y_arr) != len(x):
         raise ValueError("labels do not match input rows")
-    p64 = _float64(params)
-    cache: list = []
-    logits = _forward_core(p64, x, cache=cache)
+    cache = _SignCache()
+    logits = _forward_core(params, x, cache=cache)
     # exact softmax: FGSM takes the sign of every entry, tiny ones included
     delta = _output_delta(logits, y_arr, 0.0)
-    for i in range(len(p64.weights) - 1, 0, -1):
-        delta = _hidden_delta(p64.weights[i], delta, *cache[i])
-    dx = delta @ p64.weights[0].T
+    for i in range(len(params.weights) - 1, 0, -1):
+        delta = _hidden_delta(params.weights[i].astype(np.float64), delta, *cache[i])
+    dx = delta @ params.weights[0].astype(np.float64).T
     dx *= len(x)  # undo the batch mean: per-sample gradients
     return dx if np.ndim(x_norm) > 1 else dx[0]
-
-
-def loss_on(params: DetectorParams, x_norm: np.ndarray, y: np.ndarray | int) -> float:
-    """Mean cross-entropy on normalized inputs, dropout off."""
-    x = np.atleast_2d(np.asarray(x_norm, dtype=np.float64))
-    y_arr = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    return cross_entropy(_forward_core(_float64(params), x), y_arr)
 
 
 @dataclass
@@ -443,10 +437,10 @@ def train_arrays(x_raw: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple
             cache: list = []
             logits = _forward_core(params, xb, config.dropout_rate, drop_rng, cache)
             batch_losses.append(cross_entropy(logits, yb))
-            grads_w, grads_b = _backward(params, cache, logits, yb)
-            _adam_step(params, state, grads_w, grads_b, config)
-        # one float64 pass, the same ops as loss_on, scores the validation slice
-        val_logits = _forward_core(_float64(params), x_val)
+            _adam_step(params, state, *_backward(params, cache, logits, yb), config)  # no gradient outlives its step
+        del cache, logits  # the last batch's activations are not held through validation
+        # one float64 pass over the float32 weights scores the validation slice
+        val_logits = _forward_core(params, x_val)
         entry = {
             "epoch": epoch,
             "train_loss": float(np.mean(batch_losses)),
@@ -456,7 +450,8 @@ def train_arrays(x_raw: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple
         history.append(entry)
         if entry["val_loss"] < best_val - 1e-5:
             best_val = entry["val_loss"]
-            best_params = params.copy()
+            for best, current in zip(best_params.weights + best_params.biases, params.weights + params.biases):
+                np.copyto(best, current)
             strikes = 0
         else:
             strikes += 1

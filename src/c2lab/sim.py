@@ -491,27 +491,6 @@ def lockstep(
             yield i, action, reply
 
 
-def run_lockstep(
-    plans: Sequence[StuffingPlan],
-    request_plaintexts: Sequence[int],
-    response_plaintexts: Sequence[int],
-    side: StuffSide,
-    size_model: TlsSizeModel | None = None,
-) -> tuple[list[list[int]], int]:
-    """Realized record sizes per connection, and the closes seen, of a lockstep run.
-
-    Plaintext sizes are consumed one per message in exchange order.
-    """
-    connections: list[list[int]] = []
-    closes = 0
-    for i, action, reply in lockstep(plans, side, zip(request_plaintexts, response_plaintexts), size_model):
-        if i == len(connections):
-            connections.append([])
-        connections[i] += (action.realized_size, reply.realized_size)
-        closes += reply.close
-    return connections, closes
-
-
 def _adversarial_session(events: list[tuple], cfg: SimConfig, session_index: int) -> tuple[list[tuple[Record, ...]], int]:
     mode = cfg.mode
     plan_rng = substream(cfg.seed, "plans", session_index)
@@ -572,6 +551,14 @@ def _handshake_record_lens(handshake_wire_bytes: int, mss: int) -> tuple[int, in
     raise ValueError("handshake budget unsatisfiable")
 
 
+@lru_cache(maxsize=64)
+def _handshake_shape(handshake_wire_bytes: int, mss: int) -> tuple[int, int, int, int]:
+    """conn_shape's (frames, words, body, longest) of the bare TCP frames and handshake records."""
+    c_len, s_len = _handshake_record_lens(handshake_wire_bytes, mss)
+    frames = len(_TCP_OPEN) + len(_TCP_CLOSE) + _record_frames(c_len, mss) + _record_frames(s_len, mss)
+    return frames, (c_len + 3) // 4 + (s_len + 3) // 4, c_len + s_len, max(c_len, s_len)
+
+
 def conn_frame_plan(records: Sequence[Record], cfg: SimConfig) -> list[tuple[float, bool, int, int, int, int, int]]:
     """A connection's frames in plan order: its TCP handshake, both TLS
     handshake records, its records, then the two FINs.
@@ -613,10 +600,7 @@ def conn_shape(records: Sequence[Record], cfg: SimConfig) -> ConnShape:
     if not records:
         raise ValueError("a connection must carry records")
     mss = cfg.mss
-    c_len, s_len = _handshake_record_lens(cfg.handshake_wire_bytes, mss)
-    frames = len(_TCP_OPEN) + len(_TCP_CLOSE) + _record_frames(c_len, mss) + _record_frames(s_len, mss)
-    words = (c_len + 3) // 4 + (s_len + 3) // 4
-    body, longest = c_len + s_len, max(c_len, s_len)
+    frames, words, body, longest = _handshake_shape(cfg.handshake_wire_bytes, mss)
     earliest = round(records[0][0] - HANDSHAKE_LEAD, 6)
     for ts, _direction, size in records:
         frames += _record_frames(size, mss)

@@ -26,7 +26,7 @@ from c2lab.adversarial import (
     load_plan_library,
     plan_from_adversarial,
 )
-from c2lab.detector import DetectorParams, forward, input_gradient, loss_on, normalize
+from c2lab.detector import DetectorParams, forward, input_gradient, normalize
 from c2lab.extract import traces_from_pcap
 from c2lab.harness import ExperimentConfig, report_bytes, run_full_experiment
 from c2lab.model import Direction, FeatureVector, Provenance, features_from_trace
@@ -37,8 +37,8 @@ from c2lab.sim import (
     emit_pcap,
     generate_c2_traces,
     generate_web_traces,
-    run_lockstep,
 )
+from oracles import loss_on, run_lockstep
 
 pytestmark = pytest.mark.slow
 

@@ -24,7 +24,7 @@ from c2lab.adversarial import (
 from c2lab.harness import ExperimentConfig, craft_libraries
 from c2lab.model import Dataset, Direction, FeatureVector, Label, LabeledSample, PAD_VALUE, Provenance
 from c2lab.sizing import TlsSizeModel
-from oracles import on_grid
+from oracles import loss_on, on_grid
 
 
 def params_fixture(seed=0):
@@ -109,8 +109,8 @@ def test_step_direction_increases_loss():
     x = flow_rows(rng, 25)
     y = np.zeros(25, dtype=np.int64)
     adv_x = fgsm_raw(params, x, y, epsilon=0.02)
-    before = [det.loss_on(params, det.normalize(x[i]), 0) for i in range(len(x))]
-    after = [det.loss_on(params, det.normalize(adv_x[i]), 0) for i in range(len(x))]
+    before = [loss_on(params, det.normalize(x[i]), 0) for i in range(len(x))]
+    after = [loss_on(params, det.normalize(adv_x[i]), 0) for i in range(len(x))]
     assert np.mean(after) > np.mean(before)
     assert sum(a >= b - 1e-12 for a, b in zip(after, before)) >= 23
 

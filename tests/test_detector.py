@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from c2lab import detector as det
 from c2lab.model import Dataset, FeatureVector, Label, LabeledSample, Provenance
+from oracles import loss_on, reference_input_gradient, reference_logits
 
 
 def small_params(seed=0, dtype="float64", hidden=(8, 6)):
@@ -526,7 +528,7 @@ def test_input_gradient_matches_finite_differences():
             xp, xm = x.copy(), x.copy()
             xp[i, j] += h
             xm[i, j] -= h
-            numeric = (det.loss_on(params, xp[i], y[i]) - det.loss_on(params, xm[i], y[i])) / (2 * h)
+            numeric = (loss_on(params, xp[i], y[i]) - loss_on(params, xm[i], y[i])) / (2 * h)
             assert analytic[i, j] == pytest.approx(numeric, rel=1e-4, abs=1e-7)
 
 
@@ -544,3 +546,62 @@ def test_accuracy_on_known_predictions():
     # ties everywhere: every sample lands on C2
     acc = det.accuracy(zero, ds)
     assert acc == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 17, 150, 300])
+def test_float64_passes_match_a_float64_copy_bit_for_bit(rows):
+    # a full-size float32 net: the float64 passes read its weights directly
+    params = det.DetectorParams.initialize(np.random.default_rng(rows))
+    rng = np.random.default_rng(100 + rows)
+    x = det.normalize(random_rows(rng, rows))
+    y = rng.integers(0, 2, size=rows)
+    assert np.array_equal(det.input_gradient(params, x, y), reference_input_gradient(params, x, y))
+    assert np.array_equal(det.forward(params, x), det._softmax(reference_logits(params, x)))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 17, 150, 300])
+def test_validation_pass_matches_a_float64_copy_bit_for_bit(rows):
+    n = 4 * rows
+    config = det.TrainConfig(max_epochs=1, val_fraction=0.25, seed=rows)
+    x_raw = random_rows(np.random.default_rng(rows), n)
+    y = np.arange(n) % 2
+    params, history = det.train_arrays(x_raw, y, config)
+    # the validation slice train_arrays draws, scored on the weights it returns
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[1])
+    val_idx = shuffle_rng.permutation(n)[:rows]
+    x_val = det.normalize(x_raw).astype(np.float32)[val_idx].astype(np.float64)
+    logits = reference_logits(params, x_val)
+    assert history[0]["val_loss"] == det.cross_entropy(logits, y[val_idx])
+    assert history[0]["val_accuracy"] == float(np.mean(det._classes(det._softmax(logits)) == y[val_idx]))
+
+
+def _traced_peak(fn, *args):
+    """fn(*args), and the bytes it allocated at its peak beyond what was live
+    before, as tracemalloc sees them (numpy reports its array buffers to it)."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before
+
+
+def test_training_and_input_gradient_memory_stay_bounded():
+    # the evade-replay benchmark's set-up shape: 600 rows of a full-size net
+    rng = np.random.default_rng(0)
+    x_raw, y = random_rows(rng, 600), np.arange(600) % 2
+    (params, _history), peak = _traced_peak(det.train_arrays, x_raw, y, det.TrainConfig(max_epochs=2, seed=1))
+    net_bytes = sum(a.nbytes for a in (*params.weights, *params.biases))
+    # Training holds the weights, one best snapshot, two Adam moments and one
+    # step's gradients (5 nets), plus one layer widened to float64 during
+    # validation: about 6 nets. A second set of gradients alive through the
+    # next step and validation, and a float64 copy of the whole net, made it
+    # about 7.7.
+    assert peak < 6.75 * net_bytes
+    # one layer widened at a time and boolean ReLU signs: about 2.4 nets at
+    # 300 rows; a float64 copy of the net and float64 activations took 3.6
+    x = det.normalize(random_rows(rng, 300))
+    _, peak = _traced_peak(det.input_gradient, params, x, np.zeros(300, dtype=np.int64))
+    assert peak < 3 * net_bytes

@@ -22,12 +22,12 @@ from c2lab.sim import (
     _schedule_plans,
     _workflow,
     lockstep,
-    run_lockstep,
     sample_script,
     simulate_session,
     substream,
 )
 from c2lab.sizing import TlsSizeModel
+from oracles import run_lockstep
 
 CODEC = HeaderCodec()
 SIZE = TlsSizeModel()
