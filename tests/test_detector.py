@@ -576,16 +576,15 @@ def test_validation_pass_matches_a_float64_copy_bit_for_bit(rows):
 
 
 def _traced_peak(fn, *args):
-    """fn(*args), and the bytes it allocated at its peak beyond what was live
-    before, as tracemalloc sees them (numpy reports its array buffers to it)."""
+    """fn(*args), and the peak bytes it held in allocations it made, as
+    tracemalloc sees them (numpy reports its array buffers to it)."""
     tracemalloc.start()
     try:
-        before, _ = tracemalloc.get_traced_memory()
         result = fn(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, peak - before
+    return result, peak
 
 
 def test_training_and_input_gradient_memory_stay_bounded():
