@@ -134,63 +134,39 @@ def _is_int(value) -> bool:
 
 
 @dataclass(frozen=True)
-class PlanTarget:
-    position: int
-    direction: Direction
-    size: int
-
-    def __post_init__(self) -> None:
-        if not _is_int(self.position):
-            raise ValueError(f"position must be an int, got {self.position!r}")
-        if not _is_int(self.size):
-            raise ValueError(f"size must be an int, got {self.size!r}")
-        if self.position < 0:
-            raise ValueError("negative plan position")
-        if self.size < 1:
-            raise ValueError("plan target size must be positive")
-
-
-@dataclass(frozen=True)
 class StuffingPlan:
     """Record-size targets for one connection.
 
-    n_records fixes how many records the connection carries; targets cover
-    the subset of positions the stuffing side controls. first_size_next_conn
-    is the payload target that must be handed across the connection boundary
-    with the closing response. profile, when present, records the full
-    crafted size vector the plan came from (one entry per record, covered or
-    not) so a scheduler can match queued traffic to the plan shape.
+    targets holds one entry per record the connection carries: the size the
+    record must reach, or None where the stuffing side does not control it.
+    first_size_next_conn is the payload target that must be handed across the
+    connection boundary with the closing response. profile, when present,
+    records the full crafted size vector the plan came from (one entry per
+    record, covered or not) so a scheduler can match queued traffic to the
+    plan shape.
     """
 
-    n_records: int
-    targets: tuple[PlanTarget, ...]
+    targets: tuple[int | None, ...]
     first_size_next_conn: int | None = None
     source_id: str = ""
     profile: tuple[int, ...] = ()
-    # target size (or None) per record position, derived from targets
-    _by_position: tuple[int | None, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
-        if not _is_int(self.n_records):
-            raise ValueError(f"n_records must be an int, got {self.n_records!r}")
-        if self.n_records < 1:
-            raise ValueError("n_records must be at least 1")
+        if not self.targets:
+            raise ValueError("a plan needs at least one record")
+        for size in self.targets:
+            if size is not None and not (_is_int(size) and size >= 1):
+                raise ValueError(f"plan target sizes must be positive ints or None, got {size!r}")
         if self.first_size_next_conn is not None and not _is_int(self.first_size_next_conn):
             raise ValueError(f"first_size_next_conn must be an int or null, got {self.first_size_next_conn!r}")
         if not all(map(_is_int, self.profile)):
             raise ValueError("profile entries must be ints")
         if self.profile and len(self.profile) != self.n_records:
             raise ValueError("profile length must match n_records")
-        by_position: list[int | None] = [None] * self.n_records
-        prev = -1
-        for t in self.targets:
-            if t.position <= prev:
-                raise ValueError("targets: positions must be strictly increasing")
-            if t.position >= self.n_records:
-                raise ValueError("targets: position beyond n_records")
-            prev = t.position
-            by_position[t.position] = t.size
-        object.__setattr__(self, "_by_position", tuple(by_position))
+
+    @property
+    def n_records(self) -> int:
+        return len(self.targets)
 
     @property
     def n_exchanges(self) -> int:
@@ -198,19 +174,13 @@ class StuffingPlan:
 
     def target_at(self, position: int) -> int | None:
         if 0 <= position < self.n_records:
-            return self._by_position[position]
+            return self.targets[position]
         return None
 
 
-def alternating_directions(n: int) -> tuple[Direction, ...]:
-    """Request/response alternation: the client (payload) speaks on even positions."""
-    first = Direction.PAYLOAD_TO_FRAMEWORK
-    return tuple(first if i % 2 == 0 else first.flipped() for i in range(n))
-
-
-# The sender of every feature position, and the positions each side stuffs.
-DIRECTIONS = alternating_directions(FEATURE_LEN)
-_SIDE_POSITIONS = {side: tuple(i for i, d in enumerate(DIRECTIONS) if side.covers(d)) for side in StuffSide}
+# The sender of a record at position i is DIRECTIONS[i % 2]: under
+# request/response alternation the client (payload) speaks on even positions.
+DIRECTIONS = (Direction.PAYLOAD_TO_FRAMEWORK, Direction.FRAMEWORK_TO_PAYLOAD)
 
 
 def plan_from_adversarial(x_star: FeatureVector, side: StuffSide, source_id: str = "") -> StuffingPlan:
@@ -223,8 +193,9 @@ def plan_from_adversarial(x_star: FeatureVector, side: StuffSide, source_id: str
     if n == 0:
         raise ValueError("adversarial vector has no records")
     profile = tuple(int(v) for v in x_star.values[:n])
-    targets = tuple(PlanTarget(i, DIRECTIONS[i], profile[i]) for i in _SIDE_POSITIONS[side] if i < n)
-    return StuffingPlan(n_records=n, targets=targets, source_id=source_id, profile=profile)
+    covered = tuple(side.covers(d) for d in DIRECTIONS)
+    targets = tuple(size if covered[i % 2] else None for i, size in enumerate(profile))
+    return StuffingPlan(targets, source_id=source_id, profile=profile)
 
 
 def stuff_amount(target_size: int, content_size: int) -> int:
@@ -289,7 +260,7 @@ def build_plan_library(
             f"no C2 flows with at least {min_exchanges} exchanges "
             f"({2 * min_exchanges} records) to build plans from"
         )
-    mask = np.array([side.covers(d) for d in DIRECTIONS], dtype=np.float64)
+    mask = np.array([side.covers(DIRECTIONS[i % 2]) for i in range(FEATURE_LEN)], dtype=np.float64)
     x = np.array([fv.values for fv in feats], dtype=np.float64)
     y = np.zeros(len(x), dtype=np.int64)  # true class: C2
     adv = fgsm_batch(params, x, y, config, mask=mask)
@@ -308,7 +279,7 @@ def save_plan_library(path: str | Path, plans: Sequence[StuffingPlan], meta: dic
         "plans": [
             {
                 "n_records": p.n_records,
-                "targets": [[t.position, t.direction.value, t.size] for t in p.targets],
+                "targets": [[i, DIRECTIONS[i % 2].value, size] for i, size in enumerate(p.targets) if size is not None],
                 "first_size_next_conn": p.first_size_next_conn,
                 "source_id": p.source_id,
                 "profile": list(p.profile),
@@ -334,7 +305,8 @@ def _plan_from_entry(entry) -> StuffingPlan:
     targets = entry["targets"]
     if not isinstance(targets, list):
         raise ValueError("targets must be a list")
-    parsed = []
+    dense: list[int | None] = [None] * n_records
+    prev = -1
     for j, item in enumerate(targets):
         if not isinstance(item, list) or len(item) != 3:
             raise ValueError(f"targets[{j}] must be [position, direction, size]")
@@ -344,10 +316,13 @@ def _plan_from_entry(entry) -> StuffingPlan:
         except ValueError:
             raise ValueError(f"targets[{j}].direction {direction!r} unknown") from None
         pos = check_int(f"targets[{j}].position", pos, 0, n_records - 1)
+        if pos <= prev:
+            raise ValueError(f"targets[{j}].position {pos} must exceed the previous position {prev}")
+        prev = pos
         # target_at reads the position only: requests are even, responses odd
-        if direction is not DIRECTIONS[pos]:
+        if direction is not DIRECTIONS[pos % 2]:
             raise ValueError(f"targets[{j}].direction {direction.value!r} does not match position {pos}")
-        parsed.append(PlanTarget(pos, direction, check_int(f"targets[{j}].size", size, 1, MAX_RECORD_SIZE)))
+        dense[pos] = check_int(f"targets[{j}].size", size, 1, MAX_RECORD_SIZE)
     next_size = entry["first_size_next_conn"]
     if next_size is not None:
         check_int("first_size_next_conn", next_size, 1, MAX_RECORD_SIZE)
@@ -360,8 +335,7 @@ def _plan_from_entry(entry) -> StuffingPlan:
     if not isinstance(source_id, str):
         raise ValueError("source_id must be a string")
     return StuffingPlan(
-        n_records=n_records,
-        targets=tuple(parsed),
+        targets=tuple(dense),
         first_size_next_conn=next_size,
         source_id=source_id,
         profile=tuple(profile),

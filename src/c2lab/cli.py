@@ -132,7 +132,7 @@ def _cmd_eval(args) -> int:
 def _cmd_overhead(args) -> int:
     ec = _load_experiment(args)
     if args.runs is not None:
-        ec = replace(ec, overhead_runs=args.runs)
+        ec = replace(ec, overhead_runs=check_int("--runs", args.runs, 0))
     library, _meta = adv.load_plan_library(args.plans)
     artifacts = Artifacts(args.out)
     result = run_overhead(ec, library, artifacts)

@@ -73,6 +73,8 @@ class ExperimentConfig:
         for i, eps in enumerate(self.epsilon_sweep):
             if not (math.isfinite(eps) and eps > 0):
                 raise ValueError(f"epsilon_sweep[{i}] must be finite and > 0, got {eps!r}")
+            if eps in self.epsilon_sweep[:i]:
+                raise ValueError(f"epsilon_sweep[{i}] repeats {eps!r}")
 
     def to_dict(self) -> dict:
         """The config as a JSON-ready document that from_dict reads back unchanged."""
@@ -313,7 +315,7 @@ def _evaluate_evasion(
 # ---------------------------------------------------------------------------
 # stage 1: baseline detector vs naive reshaping
 
-def run_threat_model_1(ec: ExperimentConfig, artifacts: Artifacts) -> tuple[dict, det.DetectorParams]:
+def run_threat_model_1(ec: ExperimentConfig, artifacts: Artifacts) -> dict:
     parts = ((Provenance.REGULAR, ec.n_train, ec.n_test), (Provenance.WEB, ec.n_train, ec.n_test))
     params, history, train_ds, test_ds = _train_stage(ec, artifacts, "tm1", parts, "detector_baseline")
     acc = det.accuracy(params, test_ds)
@@ -332,7 +334,7 @@ def run_threat_model_1(ec: ExperimentConfig, artifacts: Artifacts) -> tuple[dict
         "history": history,
         "evasion": evasion,
     }
-    return report, params
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +366,8 @@ def craft_libraries(
     return crafted
 
 
-def run_threat_model_2(
-    ec: ExperimentConfig, artifacts: Artifacts
-) -> tuple[dict, det.DetectorParams, dict[StuffSide, list]]:
+def run_threat_model_2(ec: ExperimentConfig, artifacts: Artifacts) -> tuple[dict, list]:
+    """The aware detector's report, and the two-side plan library at the best epsilon."""
     test_reg = max(1, ec.n_test // 2)
     parts = (
         (Provenance.REGULAR, ec.n_aware_regular, test_reg),
@@ -417,7 +418,7 @@ def run_threat_model_2(
         "best_epsilon": best_eps,
         "best": sweep[f"{best_eps}"],
     }
-    return report, params, libraries[best_eps]
+    return report, libraries[best_eps][StuffSide.TWO_SIDE]
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +516,12 @@ def _stage_workers() -> int:
 
 def _threat_model_1_task(ec: ExperimentConfig, out_dir: str | Path | None) -> tuple[Artifacts, dict]:
     artifacts = Artifacts(out_dir)
-    report, _baseline = run_threat_model_1(ec, artifacts)
-    return artifacts, report
+    return artifacts, run_threat_model_1(ec, artifacts)
 
 
 def _threat_model_2_task(ec: ExperimentConfig, out_dir: str | Path | None) -> tuple[Artifacts, dict, list]:
     artifacts = Artifacts(out_dir)
-    report, _aware, best_libs = run_threat_model_2(ec, artifacts)
-    return artifacts, report, best_libs[StuffSide.TWO_SIDE]
+    return artifacts, *run_threat_model_2(ec, artifacts)
 
 
 def _run_threat_models(ec: ExperimentConfig, out_dir: str | Path | None) -> tuple[tuple, tuple]:

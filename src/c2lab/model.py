@@ -43,11 +43,6 @@ class Direction(enum.Enum):
     PAYLOAD_TO_FRAMEWORK = "payload_to_framework"
     FRAMEWORK_TO_PAYLOAD = "framework_to_payload"
 
-    def flipped(self) -> "Direction":
-        if self is Direction.PAYLOAD_TO_FRAMEWORK:
-            return Direction.FRAMEWORK_TO_PAYLOAD
-        return Direction.PAYLOAD_TO_FRAMEWORK
-
 
 class Label(enum.Enum):
     C2 = "c2"

@@ -14,7 +14,7 @@ the request/response alternation by sim.lockstep.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -52,26 +52,25 @@ _KEEP_ALIVE = StuffHeader(HeaderKind.CONN_STATE, b"keep-alive")
 _CLOSE = StuffHeader(HeaderKind.CONN_STATE, b"close")
 
 
-@dataclass(frozen=True)
 class HeaderCodec:
-    """Names are configurable so captures don't share an obvious marker."""
+    """Encodes, decodes and sizes the stuffing header lines.
 
-    padding_name: str = "X-Client-Data"
-    next_size_name: str = "X-Correlation-Id"
-    conn_state_name: str = "Connection"
-    # each kind's name, ASCII-encoded once, in HeaderKind order
-    _names: dict[HeaderKind, bytes] = field(init=False, repr=False, compare=False, default=None)
+    The names look like stock headers, so captures share no obvious marker.
+    """
 
-    def __post_init__(self) -> None:
-        names = {kind: getattr(self, f"{kind.value}_name").encode("ascii") for kind in HeaderKind}
-        object.__setattr__(self, "_names", names)
+    # each kind's header name, ASCII-encoded
+    NAMES = {
+        HeaderKind.PADDING: b"X-Client-Data",
+        HeaderKind.NEXT_SIZE: b"X-Correlation-Id",
+        HeaderKind.CONN_STATE: b"Connection",
+    }
 
     def encode(self, header: StuffHeader) -> bytes:
-        return self._names[header.kind] + b": " + header.value + CRLF
+        return self.NAMES[header.kind] + b": " + header.value + CRLF
 
     def encoded_len(self, header: StuffHeader) -> int:
         """len(encode(header)): the name, ": ", the value and CRLF."""
-        return len(self._names[header.kind]) + 4 + len(header.value)
+        return len(self.NAMES[header.kind]) + 4 + len(header.value)
 
     def decode(self, line: bytes) -> StuffHeader:
         if not line.endswith(CRLF):
@@ -80,7 +79,7 @@ class HeaderCodec:
         name, sep, value = body.partition(b": ")
         if not sep:
             raise CodecError("header line lacks ': ' separator")
-        for kind, kind_name in self._names.items():
+        for kind, kind_name in self.NAMES.items():
             if name == kind_name:
                 self._check_value(kind, value)
                 return StuffHeader(kind, value)
@@ -103,7 +102,7 @@ class HeaderCodec:
     @property
     def min_padding_line(self) -> int:
         # name, ": ", one filler byte, CRLF
-        return len(self.padding_name) + 5
+        return len(self.NAMES[HeaderKind.PADDING]) + 5
 
     def make_padding(self, total_len: int, rng: np.random.Generator | None = None) -> StuffHeader:
         """A padding line whose encoded form is exactly total_len bytes."""
@@ -111,7 +110,7 @@ class HeaderCodec:
             raise CodecError(
                 f"padding line of {total_len} bytes impossible, minimum is {self.min_padding_line}"
             )
-        fill_len = total_len - len(self.padding_name) - 4
+        fill_len = total_len - len(self.NAMES[HeaderKind.PADDING]) - 4
         if rng is None:
             value = b"x" * fill_len
         else:

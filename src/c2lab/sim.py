@@ -109,10 +109,7 @@ class PlanIndex:
     def build(cls, library: Sequence[StuffingPlan]) -> "PlanIndex":
         n_exchanges = [p.n_exchanges for p in library]
         width = 2 * max(n_exchanges)
-        target = np.zeros((len(library), width), dtype=np.int64)
-        cells = [(row, t.position, t.size) for row, p in enumerate(library) for t in p.targets]
-        cells = np.array(cells, dtype=np.int64).reshape(-1, 3)  # (0, 3) when no plan has a target
-        target[cells[:, 0], cells[:, 1]] = cells[:, 2]
+        target = np.array([[*(t or 0 for t in p.targets), *[0] * (width - p.n_records)] for p in library], dtype=np.int64)
         profile = np.array([[*p.profile, *[0] * (width - len(p.profile))] for p in library], dtype=np.int64)
         profiled_records = np.array([p.n_records if p.profile else 0 for p in library])
         covered = target > 0

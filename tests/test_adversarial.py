@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 from c2lab import adversarial as adv
 from c2lab import detector as det
 from c2lab.adversarial import (
+    DIRECTIONS,
     FgsmConfig,
-    PlanTarget,
     StuffSide,
     StuffingPlan,
-    alternating_directions,
     build_plan_library,
     chain_plans,
     fgsm_batch,
@@ -280,10 +279,11 @@ def test_one_sweep_computes_one_gradient_per_row_set(monkeypatch):
 
 
 def test_alternating_directions():
-    dirs = alternating_directions(5)
-    assert dirs[0] is Direction.PAYLOAD_TO_FRAMEWORK
-    assert dirs[1] is Direction.FRAMEWORK_TO_PAYLOAD
-    assert dirs[4] is Direction.PAYLOAD_TO_FRAMEWORK
+    # the client (payload) speaks on even positions, the framework on odd ones
+    assert DIRECTIONS == (Direction.PAYLOAD_TO_FRAMEWORK, Direction.FRAMEWORK_TO_PAYLOAD)
+    fv = FeatureVector.from_sizes([640, 480, 656, 496, 672])
+    payload = plan_from_adversarial(fv, StuffSide.PAYLOAD_ONLY)
+    assert payload.targets == (640, None, 656, None, 672)
 
 
 def test_plan_from_adversarial_covers_one_side():
@@ -291,33 +291,27 @@ def test_plan_from_adversarial_covers_one_side():
     plan = plan_from_adversarial(fv, StuffSide.FRAMEWORK_ONLY, source_id="s1")
     assert plan.n_records == 4
     assert plan.n_exchanges == 2
-    assert [(t.position, t.size) for t in plan.targets] == [(1, 480), (3, 496)]
-    assert all(t.direction is Direction.FRAMEWORK_TO_PAYLOAD for t in plan.targets)
+    assert plan.targets == (None, 480, None, 496)
     assert plan.profile == (640, 480, 656, 496)
     assert plan.target_at(1) == 480 and plan.target_at(0) is None
 
     both = plan_from_adversarial(fv, StuffSide.TWO_SIDE)
-    assert len(both.targets) == 4
+    assert both.targets == (640, 480, 656, 496)
     assert both.target_at(0) == 640
 
 
 def test_plan_validation():
     with pytest.raises(ValueError):
-        StuffingPlan(n_records=0, targets=())
+        StuffingPlan(targets=())
     with pytest.raises(ValueError):
-        StuffingPlan(n_records=2, targets=(PlanTarget(5, Direction.PAYLOAD_TO_FRAMEWORK, 100),))
+        StuffingPlan(targets=(None, None, None), profile=(1, 2))
     with pytest.raises(ValueError):
-        StuffingPlan(
-            n_records=2,
-            targets=(
-                PlanTarget(1, Direction.FRAMEWORK_TO_PAYLOAD, 100),
-                PlanTarget(1, Direction.FRAMEWORK_TO_PAYLOAD, 100),
-            ),
-        )
+        StuffingPlan(targets=(0, None))
     with pytest.raises(ValueError):
-        StuffingPlan(n_records=3, targets=(), profile=(1, 2))
-    with pytest.raises(ValueError):
-        PlanTarget(0, Direction.PAYLOAD_TO_FRAMEWORK, 0)
+        StuffingPlan(targets=(None, -480))
+    plan = StuffingPlan(targets=(None, 100))
+    assert (plan.n_records, plan.n_exchanges) == (2, 1)
+    assert [plan.target_at(i) for i in (-1, 0, 1, 2)] == [None, None, 100, None]
 
 
 def test_chain_plans_carries_next_first_request():
@@ -331,7 +325,7 @@ def test_chain_plans_carries_next_first_request():
 
 def test_chain_plans_carries_nothing_for_an_uncovered_first_request():
     # the successor targets a later request only; its first request stays bare
-    later_only = StuffingPlan(4, (PlanTarget(2, Direction.PAYLOAD_TO_FRAMEWORK, 900),))
+    later_only = StuffingPlan((None, None, 900, None))
     first, _ = chain_plans([plan_from_adversarial(FeatureVector.from_sizes([640, 480]), StuffSide.TWO_SIDE), later_only])
     assert first.first_size_next_conn is None
 
@@ -362,12 +356,12 @@ def test_build_plan_library_masks_to_side():
             n = int((row != PAD_VALUE).sum())
             assert plan.n_records == n
             assert len(plan.profile) == n
-            dirs = alternating_directions(n)
-            for t in plan.targets:
-                assert side.covers(t.direction)
-            # uncovered positions keep the original size in the profile
             for i in range(n):
-                if not side.covers(dirs[i]):
+                if side.covers(DIRECTIONS[i % 2]):
+                    assert plan.targets[i] == plan.profile[i]
+                else:
+                    # uncovered positions carry no target and keep the original size in the profile
+                    assert plan.targets[i] is None
                     assert plan.profile[i] == int(row[i])
 
 
@@ -451,6 +445,8 @@ LIBRARY_MUTATIONS = {
         _set(["plans", 0, "targets", 0, 1], "framework_to_payload"),
         ["plans[0]", "targets[0].direction", "does not match position 0"],
     ),
+    "repeated position": (_set(["plans", 1, "targets", 2, 0], 0), ["plans[1]", "targets[2].position"]),
+    "descending positions": (lambda doc: doc["plans"][0]["targets"].reverse(), ["plans[0]", "targets[1].position"]),
     "float profile entry": (_set(["plans", 1, "profile", 2], 656.0), ["plans[1]", "profile[2]"]),
     "short profile": (_set(["plans", 1, "profile"], [640]), ["plans[1]", "profile"]),
     "float carry-over size": (_set(["plans", 0, "first_size_next_conn"], 600.5), ["plans[0]", "first_size_next_conn"]),
@@ -477,16 +473,13 @@ def test_malformed_plan_library_names_the_field(tmp_path, name):
 
 
 def test_plan_fields_must_be_ints():
-    dirn = Direction.PAYLOAD_TO_FRAMEWORK
-    for position, size in ((0.0, 640), (True, 640), (0, 640.0), (0, False), (0, "640")):
+    for size in (640.0, True, "640"):
         with pytest.raises(ValueError):
-            PlanTarget(position, dirn, size)
+            StuffingPlan(targets=(size, None))
     with pytest.raises(ValueError):
-        StuffingPlan(n_records=2.0, targets=())
+        StuffingPlan(targets=(None, None), profile=(640, 480.5))
     with pytest.raises(ValueError):
-        StuffingPlan(n_records=2, targets=(), profile=(640, 480.5))
-    with pytest.raises(ValueError):
-        StuffingPlan(n_records=2, targets=(), first_size_next_conn=True)
+        StuffingPlan(targets=(None, None), first_size_next_conn=True)
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,6 +17,7 @@ def run(**values):
         "passes": 3,
         "failed_checks": [],
         "env": {"cpus": 2},
+        "steal_share": None,
     }
 
 
@@ -58,3 +59,17 @@ def test_src_digest_tells_apart_sources_at_one_head(tmp_path):
         (pkg / "notes.txt").write_bytes(name.encode())  # only *.py counts
         sides.append(bench_pairs.source_sha256(tmp_path / name))
     assert sides[0] == sides[1] != sides[2]
+
+
+def test_steal_share_reads_the_aggregate_cpu_line():
+    before = "cpu  100 5 50 800 10 0 5 30 7 0\ncpu0 50 2 25 400 5 0 2 15 3 0\n"
+    after = "cpu  160 5 70 1500 10 0 5 50 9 0\ncpu0 80 2 35 750 5 0 2 25 4 0\n"
+    # guest (the ninth field) is inside user: totals are 1000 and 1800
+    assert bench_pairs.cpu_ticks(before) == (30, 1000)
+    assert bench_pairs.steal_share(bench_pairs.cpu_ticks(before), bench_pairs.cpu_ticks(after)) == 20 / 800
+    assert bench_pairs.cpu_ticks("cpu0 1 2 3 4 5 6 7 8\n") is None  # no aggregate line
+    assert bench_pairs.cpu_ticks("cpu  1 2 3\n") is None  # a kernel without a steal field
+    assert bench_pairs.steal_share(None, bench_pairs.cpu_ticks(after)) is None
+    pairs = [pair(run(wall_s=1.0) | {"steal_share": 0.25}, run(wall_s=1.0))]
+    sides = bench_pairs.summarize(pairs, {"wall_s": "lower"})["sides"]
+    assert (sides["parent"]["steal_share"], sides["change"]["steal_share"]) == ([0.25], [None])

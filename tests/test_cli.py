@@ -134,7 +134,8 @@ def test_attack_writes_plan_library(pipeline):
     assert meta["side"] == "two_side"
     # min-exchanges 2 keeps only flows with at least two request/response rounds
     assert all(p.n_records >= 4 for p in lib)
-    assert all(p.targets for p in lib)
+    # two-side plans target every record
+    assert all(None not in p.targets for p in lib)
 
 
 def test_eval_reports_accuracy(pipeline, tmp_path, capsys):
@@ -171,6 +172,14 @@ def test_overhead_names_an_unreachable_handshake_budget(tmp_path, capsys, budget
     argv = ["overhead", "--plans", str(plans), "--runs", "1", "--config", str(cfg), "--out", str(tmp_path / "ov")]
     assert main(argv) == 2
     _assert_one_line_error(capsys, f"c2lab: error: {cfg}: sim.handshake_wire_bytes ({budget}) cannot be met at mss 1460")
+
+
+def test_overhead_negative_runs_exits_2_naming_the_flag(tmp_path, capsys):
+    plans = _toy_plans_file(tmp_path / "plans.json")
+    out = tmp_path / "ov"
+    assert main(["overhead", "--plans", str(plans), "--runs=-1", "--out", str(out)]) == 2
+    _assert_one_line_error(capsys, "--runs must be an integer >= 0", "got -1")
+    assert not out.exists()
 
 
 def test_extract_command(tmp_path, capsys):
@@ -359,6 +368,7 @@ def test_missing_input_exits_2_without_traceback(tmp_path, capsys):
         ({"sim": {"get_base": 20, "url_jitter": 30}}, "sim.get_base"),
         ({"sim": {"post_base": 11}}, "sim.post_base"),
         ({"sim": {"response_base": 3}}, "sim.response_base"),
+        ({"epsilon_sweep": [0.05, 0.05]}, "epsilon_sweep[1] repeats 0.05"),
     ],
 )
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, doc, key_path):

@@ -296,7 +296,7 @@ def _configs(draw):
         master_seed=draw(st.integers(-(2**62), 2**62)),
         n_train=draw(_sizes),
         n_adv_eval=draw(_sizes),
-        epsilon_sweep=tuple(draw(st.lists(_positive, min_size=1, max_size=5))),
+        epsilon_sweep=tuple(draw(st.lists(_positive, min_size=1, max_size=5, unique=True))),
         overhead_runs=draw(st.integers(0, 100)),
         sim=sim,
         web=web,

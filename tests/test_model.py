@@ -102,11 +102,6 @@ def test_flow_trace_checks_timestamps():
         FlowTrace("x", out_of_order)
 
 
-def test_direction_flip():
-    assert Direction.PAYLOAD_TO_FRAMEWORK.flipped() is Direction.FRAMEWORK_TO_PAYLOAD
-    assert Direction.FRAMEWORK_TO_PAYLOAD.flipped() is Direction.PAYLOAD_TO_FRAMEWORK
-
-
 def _sample(sizes, label, provenance=Provenance.REGULAR):
     return LabeledSample(FeatureVector.from_sizes(sizes), label, provenance)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from c2lab import sim
-from c2lab.adversarial import StuffSide, StuffingPlan, PlanTarget, plan_from_adversarial, sample_plan
+from c2lab.adversarial import DIRECTIONS, StuffSide, StuffingPlan, plan_from_adversarial, sample_plan
 from c2lab.model import Direction, FeatureVector, MAX_RECORD_SIZE, Provenance, RecordEvent
 from c2lab.sim import (
     Adversarial,
@@ -242,14 +242,9 @@ def test_script_samplers():
 
 
 def _toy_plan(n_records, side):
-    dirs = [Direction.PAYLOAD_TO_FRAMEWORK, Direction.FRAMEWORK_TO_PAYLOAD]
-    targets = tuple(
-        PlanTarget(i, dirs[i % 2], 640 if i % 2 == 0 else 480)
-        for i in range(n_records)
-        if side.covers(dirs[i % 2])
-    )
     profile = tuple(640 if i % 2 == 0 else 480 for i in range(n_records))
-    return StuffingPlan(n_records=n_records, targets=targets, profile=profile)
+    targets = tuple(size if side.covers(DIRECTIONS[i % 2]) else None for i, size in enumerate(profile))
+    return StuffingPlan(targets, profile=profile)
 
 
 def test_adversarial_session_realizes_targets():
@@ -369,13 +364,10 @@ def plan_strategy(draw):
     n_records = draw(st.integers(1, 28))
     covered = draw(st.lists(st.booleans(), min_size=n_records, max_size=n_records))
     sizes = st.integers(32, 6000)
-    dirs = (Direction.PAYLOAD_TO_FRAMEWORK, Direction.FRAMEWORK_TO_PAYLOAD)
-    targets = tuple(
-        PlanTarget(i, dirs[i % 2], draw(sizes)) for i in range(n_records) if covered[i]
-    )
+    targets = tuple(draw(sizes) if covered[i] else None for i in range(n_records))
     profiled = draw(st.booleans())
     profile = tuple(draw(st.lists(sizes, min_size=n_records, max_size=n_records))) if profiled else ()
-    return StuffingPlan(n_records=n_records, targets=targets, profile=profile)
+    return StuffingPlan(targets, profile=profile)
 
 
 commands = st.tuples(st.integers(30, 90), st.integers(40, 12000))
@@ -427,7 +419,7 @@ def test_scheduler_single_exchange_leftovers_and_unfit_libraries():
 @settings(max_examples=100, deadline=None)
 @given(plan=plan_strategy(), position=st.integers(-3, 32))
 def test_target_at_matches_linear_scan(plan, position):
-    scanned = next((t.size for t in plan.targets if t.position == position), None)
+    scanned = next((size for i, size in enumerate(plan.targets) if i == position), None)
     assert plan.target_at(position) == scanned
 
 
@@ -503,7 +495,7 @@ def _pinned_plans(side):
         sizes = (16 * rng.integers(20, 200, size=int(rng.integers(1, 21)))).tolist()
         plan = plan_from_adversarial(FeatureVector.from_sizes(sizes), side, f"pin[{k}]")
         if k % 3 == 2:
-            plan = StuffingPlan(plan.n_records, plan.targets, source_id=plan.source_id)
+            plan = StuffingPlan(plan.targets, source_id=plan.source_id)
         plans.append(plan)
     return plans
 

@@ -16,8 +16,8 @@ import pytest
 
 import c2lab
 from c2lab import cli, extract, harness, sim
-from c2lab.adversarial import PlanTarget, StuffingPlan
-from c2lab.model import Direction, Provenance
+from c2lab.adversarial import StuffingPlan
+from c2lab.model import Provenance
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -61,14 +61,9 @@ def test_trace_hooks_install_and_restore_exactly(layers):
 
 def _toy_library():
     """Two-side plans of 2, 4 and 6 records targeting 640-byte requests and 480-byte responses."""
-    dirs = (Direction.PAYLOAD_TO_FRAMEWORK, Direction.FRAMEWORK_TO_PAYLOAD)
     sizes = (640, 480)
     return tuple(
-        StuffingPlan(
-            n_records=n,
-            targets=tuple(PlanTarget(i, dirs[i % 2], sizes[i % 2]) for i in range(n)),
-            profile=tuple(sizes[i % 2] for i in range(n)),
-        )
+        StuffingPlan(targets=tuple(sizes[i % 2] for i in range(n)), profile=tuple(sizes[i % 2] for i in range(n)))
         for n in (2, 4, 6)
     )
 

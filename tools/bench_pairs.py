@@ -15,7 +15,10 @@ every end-to-end metric, its pass counts and failed checks, the ``env``
 line of its first run, and how many pairs the change won per metric
 (``better`` taken from the change's BENCHMARK.json). ``commits`` holds each
 side's HEAD and the sha256 of its ``src/c2lab/*.py`` (``source_sha256``), so
-an uncommitted change is told apart from its parent. Every run's values are
+an uncommitted change is told apart from its parent. ``steal_share`` lists,
+per run, the share of the machine's CPU ticks that the hypervisor stole while
+it ran (from the ``cpu`` line of /proc/stat, None where that cannot be read):
+a noisy neighbour shows there before it shows as spread. Every run's values are
 kept too, so a summary can be recomputed. If --out exists, its other
 workloads and seeds are kept, so workloads can be run with different
 seeds and pair counts into one file.
@@ -36,17 +39,53 @@ HERE = Path(__file__).resolve().parent.parent
 PASSES = re.compile(r"^passes: (\d+) untraced, (\d+) traced$")
 
 
+def cpu_ticks(stat: str) -> tuple[int, int] | None:
+    """(steal, total) ticks of the aggregate ``cpu`` line of /proc/stat text, or None if it has none.
+
+    guest and guest_nice are already counted in user and nice, so the total
+    sums the eight fields from user to steal.
+    """
+    for line in stat.splitlines():
+        fields = line.split()
+        if fields[:1] == ["cpu"] and len(fields) >= 9 and all(f.isdigit() for f in fields[1:9]):
+            ticks = [int(f) for f in fields[1:9]]
+            return ticks[7], sum(ticks)
+    return None
+
+
+def read_cpu_ticks() -> tuple[int, int] | None:
+    try:
+        return cpu_ticks(Path("/proc/stat").read_text())
+    except OSError:
+        return None
+
+
+def steal_share(before: tuple[int, int] | None, after: tuple[int, int] | None) -> float | None:
+    """Stolen ticks over all ticks between two cpu_ticks readings; None without both or without elapsed ticks."""
+    if before is None or after is None or after[1] <= before[1]:
+        return None
+    return (after[0] - before[0]) / (after[1] - before[1])
+
+
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run: its result, env line, pass count and failed checks."""
+    """One perfbench run: its result, env line, pass count, failed checks and steal share."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
+    before = read_cpu_ticks()
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    after = read_cpu_ticks()
     lines = done.stdout.splitlines()
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {done.returncode}\n{done.stderr[-2000:]}")
-    run = {"result": json.loads(lines[-1]), "env": None, "passes": None, "failed_checks": []}
+    run = {
+        "result": json.loads(lines[-1]),
+        "env": None,
+        "passes": None,
+        "failed_checks": [],
+        "steal_share": steal_share(before, after),
+    }
     for line in lines[:-1]:
         if line.startswith("env "):
             run["env"] = json.loads(line[4:])
@@ -76,6 +115,7 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         sides[side] = {
             "metrics": metrics,
             "passes": [run["passes"] for run in runs],
+            "steal_share": [run["steal_share"] for run in runs],
             "failed_checks": sorted({name for run in runs for name in run["failed_checks"]}),
             "failed_runs": sum(not run["result"]["correct"] for run in runs),
             "env": runs[0]["env"],
