@@ -48,6 +48,19 @@ _FLUSH_BELOW = 1e-30
 # stays normal until the next flush; scanning every step would cost more than
 # the subnormals do.
 _MOMENT_FLUSH_PERIOD = 16
+# Elements per block of a weight gradient, whole rows of it, that training
+# computes and hands to Adam at once: 1 MB of float32, 256 rows of the
+# 2048x1024 layer. Smaller blocks cost more GEMM calls per step: one block per
+# Adam chunk (32 rows) made a step 14-20% slower. A layer that fits in one
+# block is not split: the 512x2 output layer split into 256-row halves
+# differs from the whole product at 1000-row batches.
+_GRAD_BLOCK = 1 << 18
+# Validation widens a float32 layer of more than 2 * _WIDEN_COLS columns to
+# float64 _WIDEN_COLS columns at a time (4 MB of the 2048x1024 layer); numpy's
+# mixed-dtype matmul widens the whole layer. The blocked product equals the
+# whole one bit for bit, but a 512-column layer split this way does not at 2
+# and 3 rows, where OpenBLAS takes its small-matrix path.
+_WIDEN_COLS = 256
 
 
 @dataclass
@@ -239,19 +252,21 @@ def forward(params: DetectorParams, x_norm: np.ndarray) -> np.ndarray:
     return probs if np.ndim(x_norm) > 1 else probs[0]
 
 
-def _forward_core(params: DetectorParams, x: np.ndarray, dropout_rate: float = 0.0, rng=None, cache=None) -> np.ndarray:
+def _forward_core(
+    params: DetectorParams, x: np.ndarray, dropout_rate: float = 0.0, rng=None, cache=None, product=np.matmul
+) -> np.ndarray:
     """Logits for a 2-D batch, inverted dropout on every hidden layer when dropout_rate > 0.
 
     With a cache list, each layer's input and the dropout mask already
     applied to it (None for the net input or without dropout) are appended
-    as pairs for _backward.
+    as pairs for _gradient_blocks. product(h, w) gives each layer's h @ w.
     """
     h, mask = x, None
     keep = 1.0 - dropout_rate
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         if cache is not None:
             cache.append((h, mask))
-        h = h @ w
+        h = product(h, w)
         h += b
         np.maximum(h, 0, out=h)
         if dropout_rate > 0:
@@ -260,9 +275,21 @@ def _forward_core(params: DetectorParams, x: np.ndarray, dropout_rate: float = 0
             h *= mask
     if cache is not None:
         cache.append((h, mask))
-    logits = h @ params.weights[-1]
+    logits = product(h, params.weights[-1])
     logits += params.biases[-1]
     return logits
+
+
+def _column_blocked_product(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """h @ w for a float64 h and a float32 w, widening a layer wider than
+    2 * _WIDEN_COLS columns _WIDEN_COLS columns at a time into one float64
+    output; bit-identical to h @ w."""
+    if w.shape[1] <= 2 * _WIDEN_COLS:
+        return h @ w
+    out = np.empty((len(h), w.shape[1]))
+    for c in range(0, w.shape[1], _WIDEN_COLS):
+        np.matmul(h, w[:, c : c + _WIDEN_COLS].astype(np.float64), out=out[:, c : c + _WIDEN_COLS])
+    return out
 
 
 def _classes(probs: np.ndarray) -> np.ndarray:
@@ -314,24 +341,28 @@ def _hidden_delta(w: np.ndarray, delta: np.ndarray, active: np.ndarray, mask) ->
     return delta
 
 
-def _backward(params: DetectorParams, cache, logits, y) -> tuple[list, list]:
-    """Gradients of mean cross-entropy wrt every weight and bias, for training.
+def _gradient_blocks(params: DetectorParams, cache, logits, y):
+    """Gradients of mean cross-entropy wrt every weight and bias, for
+    training, a block at a time from the output layer down.
 
-    cache is _forward_core's. Softmax outputs below _FLUSH_BELOW count as
-    zero, so each output delta moves by less than _FLUSH_BELOW / n, and a
-    row the net gets right with its other output below the cutoff
-    contributes exactly nothing.
+    Yields (layer, rows, block): block is the gradient of
+    params.weights[layer][rows], or of params.biases[layer] where rows is
+    None. A layer's blocks come after delta has been carried through its
+    weights, so the consumer may update each block's parameters before
+    taking the next. cache is _forward_core's. Softmax outputs below
+    _FLUSH_BELOW count as zero, so each output delta moves by less than
+    _FLUSH_BELOW / n, and a row the net gets right with its other output
+    below the cutoff contributes exactly nothing.
     """
     delta = _output_delta(logits, y, _FLUSH_BELOW)
-    grads_w = [None] * len(params.weights)
-    grads_b = [None] * len(params.biases)
     for i in range(len(params.weights) - 1, -1, -1):
         h, mask = cache[i]
-        grads_w[i] = h.T @ delta
-        grads_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = _hidden_delta(params.weights[i], delta, h > 0, mask)
-    return grads_w, grads_b
+        below = _hidden_delta(params.weights[i], delta, h > 0, mask) if i > 0 else None
+        yield i, None, delta.sum(axis=0)
+        n_rows = max(1, _GRAD_BLOCK // delta.shape[1])
+        for r in range(0, h.shape[1], n_rows):
+            yield i, slice(r, r + n_rows), h[:, r : r + n_rows].T @ delta
+        delta = below
 
 
 class _SignCache(list):
@@ -437,10 +468,10 @@ def train_arrays(x_raw: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple
             cache: list = []
             logits = _forward_core(params, xb, config.dropout_rate, drop_rng, cache)
             batch_losses.append(cross_entropy(logits, yb))
-            _adam_step(params, state, *_backward(params, cache, logits, yb), config)  # no gradient outlives its step
+            _adam_step(params, state, _gradient_blocks(params, cache, logits, yb), config)
         del cache, logits  # the last batch's activations are not held through validation
         # one float64 pass over the float32 weights scores the validation slice
-        val_logits = _forward_core(params, x_val)
+        val_logits = _forward_core(params, x_val, product=_column_blocked_product)
         entry = {
             "epoch": epoch,
             "train_loss": float(np.mean(batch_losses)),
@@ -460,14 +491,15 @@ def train_arrays(x_raw: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple
     return best_params.read_only(), history
 
 
-def _adam_step(params, state, grads_w, grads_b, config: TrainConfig) -> None:
-    """One Adam update in place; gradients must have their parameter's dtype.
+def _adam_step(params, state, blocks, config: TrainConfig) -> None:
+    """One Adam update in place, from _gradient_blocks' blocks, each of its
+    parameter's dtype, applied as they come; no block outlives its update.
 
     Same operations, in the same order and precision, as
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         target -= lr_t * m / (sqrt(v) + eps)
-    with every temporary in the state's scratch buffers. Each tensor is
+    with every temporary in the state's scratch buffers. Each block is
     updated a chunk of rows at a time so the operands stay in cache between
     the passes. Every _MOMENT_FLUSH_PERIOD steps, after the update, first
     moments that would decay to subnormals before the next flush are zeroed.
@@ -477,39 +509,39 @@ def _adam_step(params, state, grads_w, grads_b, config: TrainConfig) -> None:
         np.sqrt(1 - config.beta2**state.t) / (1 - config.beta1**state.t)
     )
     flush = state.t % _MOMENT_FLUSH_PERIOD == 0
-    for i in range(len(params.weights)):
-        for target, grad, m, v in (
-            (params.weights[i], grads_w[i], state.m_w[i], state.v_w[i]),
-            (params.biases[i], grads_b[i], state.m_b[i], state.v_b[i]),
-        ):
-            rows = max(1, _ADAM_CHUNK * len(target) // target.size)
-            for r in range(0, len(target), rows):
-                tg, g, mc, vc = target[r : r + rows], grad[r : r + rows], m[r : r + rows], v[r : r + rows]
-                tmp = state.scratch[: g.size].reshape(g.shape)
-                update = state.scratch64[: g.size].reshape(g.shape)
-                wide = state.wide64[: g.size].reshape(g.shape)
-                mc *= config.beta1
-                np.multiply(1 - config.beta1, g, out=tmp)
-                mc += tmp
-                vc *= config.beta2
-                np.multiply(1 - config.beta2, g, out=tmp)
-                tmp *= g
-                vc += tmp
-                np.sqrt(vc, out=tmp)
-                tmp += config.adam_eps
-                # The float64 steps take their operands widened into scratch
-                # first: the same float64 arithmetic as the mixed-dtype
-                # ufunc loops, without their buffered casts.
-                np.copyto(update, mc)
-                update *= lr_t
-                np.copyto(wide, tmp)
-                update /= wide
-                np.copyto(wide, tg)
-                wide -= update
-                np.copyto(tg, wide, casting="same_kind")
-                if flush:
-                    np.abs(mc, out=tmp)
-                    np.putmask(mc, tmp < _moment_floor(mc.dtype, config.beta1), 0.0)
+    for i, block_rows, grad in blocks:
+        if block_rows is None:
+            target, m, v = params.biases[i], state.m_b[i], state.v_b[i]
+        else:
+            target, m, v = params.weights[i][block_rows], state.m_w[i][block_rows], state.v_w[i][block_rows]
+        rows = max(1, _ADAM_CHUNK * len(target) // target.size)
+        for r in range(0, len(target), rows):
+            tg, g, mc, vc = target[r : r + rows], grad[r : r + rows], m[r : r + rows], v[r : r + rows]
+            tmp = state.scratch[: g.size].reshape(g.shape)
+            update = state.scratch64[: g.size].reshape(g.shape)
+            wide = state.wide64[: g.size].reshape(g.shape)
+            mc *= config.beta1
+            np.multiply(1 - config.beta1, g, out=tmp)
+            mc += tmp
+            vc *= config.beta2
+            np.multiply(1 - config.beta2, g, out=tmp)
+            tmp *= g
+            vc += tmp
+            np.sqrt(vc, out=tmp)
+            tmp += config.adam_eps
+            # The float64 steps take their operands widened into scratch
+            # first: the same float64 arithmetic as the mixed-dtype
+            # ufunc loops, without their buffered casts.
+            np.copyto(update, mc)
+            update *= lr_t
+            np.copyto(wide, tmp)
+            update /= wide
+            np.copyto(wide, tg)
+            wide -= update
+            np.copyto(tg, wide, casting="same_kind")
+            if flush:
+                np.abs(mc, out=tmp)
+                np.putmask(mc, tmp < _moment_floor(mc.dtype, config.beta1), 0.0)
 
 
 def _moment_floor(dtype: np.dtype, beta1: float) -> float:

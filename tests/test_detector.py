@@ -1,8 +1,12 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,13 +295,36 @@ def _reference_adam_step(params, state, grads_w, grads_b, config):
             target -= lr_t * m / (np.sqrt(v) + config.adam_eps)
 
 
+def _as_blocks(grads_w, grads_b, rows):
+    # whole gradients handed to _adam_step as _gradient_blocks hands them:
+    # from the top layer down, each bias, then its weight rows at a time
+    for i in range(len(grads_w) - 1, -1, -1):
+        yield i, None, grads_b[i]
+        for r in range(0, len(grads_w[i]), rows):
+            yield i, slice(r, r + rows), grads_w[i][r : r + rows]
+
+
+def _collect_gradients(params, cache, logits, y):
+    # the training gradients, each layer's blocks concatenated in order
+    blocks_w = [[] for _ in params.weights]
+    grads_b = [None] * len(params.biases)
+    for i, rows, block in det._gradient_blocks(params, cache, logits, y):
+        if rows is None:
+            grads_b[i] = block
+        else:
+            assert rows.start == sum(len(b) for b in blocks_w[i])
+            blocks_w[i].append(block)
+    return [np.concatenate(b) for b in blocks_w], grads_b
+
+
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_adam_step_is_bit_identical_to_allocating_update(monkeypatch, chunk):
     if chunk is not None:
         # single rows wider than a chunk, and a short last chunk of a bias
         monkeypatch.setattr(det, "_ADAM_CHUNK", chunk)
     config = det.TrainConfig()
-    # the 1024x64 weight spans two default chunks
+    # the 1024x64 weight comes in 700- and 324-row blocks; the first spans
+    # two default chunks
     params = small_params(seed=2, dtype="float32", hidden=(1024, 64))
     ref = params.copy()
     state, ref_state = det._AdamState.zeros_for(params), det._AdamState.zeros_for(ref)
@@ -305,7 +332,7 @@ def test_adam_step_is_bit_identical_to_allocating_update(monkeypatch, chunk):
     for _ in range(5):
         grads_w = [(rng.standard_normal(w.shape) * 1e-2).astype(np.float32) for w in params.weights]
         grads_b = [(rng.standard_normal(b.shape) * 1e-2).astype(np.float32) for b in params.biases]
-        det._adam_step(params, state, grads_w, grads_b, config)
+        det._adam_step(params, state, _as_blocks(grads_w, grads_b, 700), config)
         _reference_adam_step(ref, ref_state, grads_w, grads_b, config)
     assert state.t == ref_state.t == 5
     for got, want in (
@@ -340,6 +367,60 @@ def _reference_backward(params, cache, logits, y):
                 delta *= mask
             delta *= h > 0
     return grads_w, grads_b, delta
+
+
+@pytest.mark.parametrize("rows", [1, 3, 127, 128, 1000])
+@pytest.mark.parametrize("hidden", [(2048, 1024, 512), (8, 4)])
+def test_gradient_blocks_concatenate_to_the_reference_backward(hidden, rows):
+    # 1000 rows, a batch_size a config may set: the 512x2 output layer
+    # split into 256-row halves differs from the whole product there
+    params = det.DetectorParams.initialize(np.random.default_rng(rows), hidden_sizes=hidden)
+    rng = np.random.default_rng(50 + rows)
+    x = det.normalize(random_rows(rng, rows)).astype(np.float32)
+    y = rng.integers(0, 2, size=rows)
+    cache: list = []
+    logits = det._forward_core(params, x, 0.2, rng, cache)
+    got_w, got_b = _collect_gradients(params, cache, logits, y)
+    want_w, want_b, _ = _reference_backward(params, cache, logits, y)
+    for got, want in zip(got_w + got_b, want_w + want_b):
+        assert got.dtype == np.float32
+        assert np.array_equal(got, want)
+    layers = [i for i, rows_, _ in det._gradient_blocks(params, cache, logits, y) if rows_ is not None]
+    assert layers == sorted(layers, reverse=True)  # top layer first
+    # the default net's 2048x1024 gradient comes in 1 MB blocks; (8, 4)'s layers are whole
+    assert layers.count(1) == (8 if hidden == (2048, 1024, 512) else 1)
+
+
+def test_training_steps_match_the_reference_backward_and_adam():
+    # 40 steps span two moment-flush periods; Adam updates each layer's
+    # blocks while the walk carries delta on through the layers below
+    config = det.TrainConfig()
+    params = det.DetectorParams.initialize(np.random.default_rng(3))
+    ref = params.copy()
+    state, ref_state = det._AdamState.zeros_for(params), det._AdamState.zeros_for(ref)
+    rng = np.random.default_rng(31)
+    drop, ref_drop = np.random.default_rng(32), np.random.default_rng(32)
+    for _ in range(40):
+        x = det.normalize(random_rows(rng, 16)).astype(np.float32)
+        y = rng.integers(0, 2, size=16)
+        cache: list = []
+        logits = det._forward_core(params, x, config.dropout_rate, drop, cache)
+        det._adam_step(params, state, det._gradient_blocks(params, cache, logits, y), config)
+        ref_cache: list = []
+        ref_logits = det._forward_core(ref, x, config.dropout_rate, ref_drop, ref_cache)
+        grads_w, grads_b, _ = _reference_backward(ref, ref_cache, ref_logits, y)
+        _reference_adam_step(ref, ref_state, grads_w, grads_b, config)
+    assert state.t == ref_state.t == 40
+    for got, want in (
+        (params.weights, ref.weights),
+        (params.biases, ref.biases),
+        (state.m_w, ref_state.m_w),
+        (state.v_w, ref_state.v_w),
+        (state.m_b, ref_state.m_b),
+        (state.v_b, ref_state.v_b),
+    ):
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 def _confident_batch(dtype, seed=4, n=48):
@@ -390,7 +471,7 @@ def test_training_backward_flushes_only_what_the_cutoff_bounds():
     params, x, y, settled = _confident_batch("float32")
     cache: list = []
     logits = det._forward_core(params, x, 0.2, np.random.default_rng(1), cache)
-    gw, gb = det._backward(params, cache, logits, y)
+    gw, gb = _collect_gradients(params, cache, logits, y)
     ref_w, ref_b, _ = _reference_backward(params, cache, logits, y)
     bound_w, bound_b = _flush_bound(params, cache, len(x))
     for got, want, bound in zip(gw + gb, ref_w + ref_b, bound_w + bound_b):
@@ -401,7 +482,7 @@ def test_training_backward_flushes_only_what_the_cutoff_bounds():
     # settled rows contribute exactly nothing; unflushed they leave subnormals
     sub_cache: list = []
     sub_logits = det._forward_core(params, x[settled], cache=sub_cache)
-    gw, gb = det._backward(params, sub_cache, sub_logits, y[settled])
+    gw, gb = _collect_gradients(params, sub_cache, sub_logits, y[settled])
     assert all(not np.any(g) for g in gw + gb)
     ref_w, ref_b, _ = _reference_backward(params, sub_cache, sub_logits, y[settled])
     assert any(np.any(g) for g in ref_w + ref_b)
@@ -441,7 +522,7 @@ def test_adam_moment_flush_keeps_weights_exact():
             np.where(d, 0, rng.standard_normal(d.shape) * 1e-2).astype(np.float32) for d in dead
         ]
         nw = len(params.weights)
-        det._adam_step(params, state, grads[:nw], grads[nw:], config)
+        det._adam_step(params, state, _as_blocks(grads[:nw], grads[nw:], 100), config)
         _reference_adam_step(ref, ref_state, grads[:nw], grads[nw:], config)
         for a, b in zip(params.weights + params.biases, ref.weights + ref.biases):
             assert np.array_equal(a, b)
@@ -473,9 +554,13 @@ def test_short_training_run_leaves_no_subnormal_moments(monkeypatch):
     def run():
         states, grads = [], []
 
-        def spy(params, state, grads_w, grads_b, config):
-            grads.append(_subnormal_count(grads_w + grads_b))
-            step(params, state, grads_w, grads_b, config)
+        def spy(params, state, blocks, config):
+            def counted():
+                for i, rows, block in blocks:
+                    grads.append(_subnormal_count([block]))
+                    yield i, rows, block
+
+            step(params, state, counted(), config)
             states[:] = [state]
 
         monkeypatch.setattr(det, "_adam_step", spy)
@@ -575,6 +660,44 @@ def test_validation_pass_matches_a_float64_copy_bit_for_bit(rows):
     assert history[0]["val_accuracy"] == float(np.mean(det._classes(det._softmax(logits)) == y[val_idx]))
 
 
+_BLOCKED_WIDENING_CHECK = """
+import numpy as np
+from c2lab import detector as det
+
+rng = np.random.default_rng(0)
+for hidden in ((2048, 1024, 512), (8, 4)):
+    params = det.DetectorParams.initialize(rng, hidden_sizes=hidden)
+    for rows in [*range(1, 65), 90, 127, 128, 129, 180, 300, 1800]:
+        x = det.normalize(rng.integers(-1, 16408, size=(rows, 20)).astype(np.float64))
+        whole = det._forward_core(params, x)
+        blocked = det._forward_core(params, x, product=det._column_blocked_product)
+        if not np.array_equal(whole, blocked):
+            print(hidden, rows)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_column_blocked_validation_logits_equal_whole_layer_widening(monkeypatch, threads):
+    # OpenBLAS reads its thread count once, at load: each count gets a fresh interpreter
+    src = str(Path(det.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _BLOCKED_WIDENING_CHECK], env=env, check=True, capture_output=True, text=True, timeout=600
+    )
+    assert done.stdout == ""  # no (hidden sizes, rows) whose logits differ
+    # the default net's 20x2048 and 2048x1024 layers are split into 8 and 4
+    # blocks, and nothing of the (8, 4) net
+    blocks = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *a, **k: blocks.append(a[1].shape) or matmul(*a, **k))
+    for hidden, want in (((2048, 1024, 512), [(20, 256)] * 8 + [(2048, 256)] * 4), ((8, 4), [])):
+        params = det.DetectorParams.initialize(np.random.default_rng(0), hidden_sizes=hidden)
+        blocks.clear()
+        det._forward_core(params, np.zeros((3, 20)), product=det._column_blocked_product)
+        assert blocks == want
+
+
 def _traced_peak(fn, *args):
     """fn(*args), and the peak bytes it held in allocations it made, as
     tracemalloc sees them (numpy reports its array buffers to it)."""
@@ -593,12 +716,12 @@ def test_training_and_input_gradient_memory_stay_bounded():
     x_raw, y = random_rows(rng, 600), np.arange(600) % 2
     (params, _history), peak = _traced_peak(det.train_arrays, x_raw, y, det.TrainConfig(max_epochs=2, seed=1))
     net_bytes = sum(a.nbytes for a in (*params.weights, *params.biases))
-    # Training holds the weights, one best snapshot, two Adam moments and one
-    # step's gradients (5 nets), plus one layer widened to float64 during
-    # validation: about 6 nets. A second set of gradients alive through the
-    # next step and validation, and a float64 copy of the whole net, made it
-    # about 7.7.
-    assert peak < 6.75 * net_bytes
+    # Training holds the weights, one best snapshot and two Adam moments (4
+    # nets), plus one 1 MB gradient block per step and 4 MB of a layer
+    # widened to float64 during validation: about 4.9 nets. One step's whole
+    # gradients and the whole 2048x1024 layer widened for validation made it
+    # about 6; a second set of gradients and a float64 copy of the net, 7.7.
+    assert peak < 5.25 * net_bytes
     # one layer widened at a time and boolean ReLU signs: about 2.4 nets at
     # 300 rows; a float64 copy of the net and float64 activations took 3.6
     x = det.normalize(random_rows(rng, 300))
