@@ -18,7 +18,7 @@ from . import detector as det
 from .adversarial import StuffSide
 from .extract import traces_from_pcap
 from .harness import (
-    _ADV_PROVENANCE,
+    ADV_PROVENANCE,
     Artifacts,
     ExperimentConfig,
     attack_config,
@@ -32,13 +32,13 @@ from .model import Dataset, Label, LabeledSample, Provenance, check_int, evasion
 
 def _load_experiment(args) -> ExperimentConfig:
     ec = ExperimentConfig()
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             try:
                 ec = ExperimentConfig.from_dict(json.load(fh))
             except ValueError as exc:  # bad JSON, bad UTF-8 or a rejected key
                 raise ValueError(f"{args.config}: {exc}") from None
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         ec = replace(ec, master_seed=args.seed)
     return ec
 
@@ -56,7 +56,7 @@ def _cmd_gen(args) -> int:
     ec = _load_experiment(args)
     provenance = Provenance(args.mode)
     library = ()
-    if provenance in _ADV_PROVENANCE.values():
+    if provenance in ADV_PROVENANCE.values():
         if not args.plans:
             raise ValueError("adversarial modes need --plans")
         library, _meta = adv.load_plan_library(args.plans)
@@ -174,13 +174,15 @@ def _cmd_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="c2lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the master seed and config file of the subcommands that build an ExperimentConfig
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--seed", type=int, default=None)
+    experiment.add_argument("--config", default=None)
 
-    p = sub.add_parser("gen", help="generate a labeled flow dataset")
+    p = sub.add_parser("gen", parents=[experiment], help="generate a labeled flow dataset")
     p.add_argument("--mode", required=True, choices=[pr.value for pr in Provenance])
     p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
     p.add_argument("--plans", default=None, help="plan library for adversarial modes")
     p.set_defaults(func=_cmd_gen)
 
@@ -192,14 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--provenance", default=Provenance.REGULAR.value, choices=[pr.value for pr in Provenance])
     p.set_defaults(func=_cmd_extract)
 
-    p = sub.add_parser("train", help="train a detector on CSV datasets")
+    p = sub.add_parser("train", parents=[experiment], help="train a detector on CSV datasets")
     p.add_argument("--data", required=True, nargs="+")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("attack", help="build stuffing plans against a detector")
+    p = sub.add_parser("attack", parents=[experiment], help="build stuffing plans against a detector")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--epsilon", type=float, default=0.05)
@@ -207,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-exchanges", type=int, default=2, dest="min_exchanges",
                    help="skip source flows shorter than this many request/response rounds")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_attack)
 
     p = sub.add_parser("eval", help="score a dataset with a trained detector")
@@ -217,18 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("overhead", help="compare wire cost of regular vs adversarial runs")
+    p = sub.add_parser("overhead", parents=[experiment], help="compare wire cost of regular vs adversarial runs")
     p.add_argument("--plans", required=True)
     p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_overhead)
 
-    p = sub.add_parser("report", help="run the full experiment and write a report")
+    p = sub.add_parser("report", parents=[experiment], help="run the full experiment and write a report")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
     p.add_argument("--scale", default="full", choices=["full", "small", "tiny"])
     p.set_defaults(func=_cmd_report)
     return parser

@@ -10,7 +10,6 @@ so run_full_experiment runs them side by side in worker processes.
 
 from __future__ import annotations
 
-import csv
 import gc
 import math
 import os
@@ -25,7 +24,7 @@ from . import adversarial as adv
 from . import detector as det
 from .adversarial import FgsmConfig, StuffSide
 from .model import (
-    Dataset, Label, LabeledSample, Provenance, check_int, evasion_rate, features_from_trace, label_for, report_bytes
+    Dataset, Label, LabeledSample, Provenance, check_int, evasion_rate, features_from_trace, label_for, report_bytes, write_rows
 )
 from .sim import (
     NAIVE_MODES,
@@ -164,7 +163,7 @@ def _leaf(default, value, path: str):
 
 MODE_PROVENANCES = NAIVE_MODES
 
-_ADV_PROVENANCE = {
+ADV_PROVENANCE = {
     StuffSide.FRAMEWORK_ONLY: Provenance.ADV_FRAMEWORK,
     StuffSide.PAYLOAD_ONLY: Provenance.ADV_PAYLOAD,
     StuffSide.TWO_SIDE: Provenance.ADV_TWO_SIDE,
@@ -191,7 +190,7 @@ def mode_for(provenance: Provenance, library: tuple = ()) -> Mode:
     """The traffic mode whose flows carry a C2 provenance: naive ones are their own mode."""
     if provenance in NAIVE_MODES:
         return provenance
-    for side, prov in _ADV_PROVENANCE.items():
+    for side, prov in ADV_PROVENANCE.items():
         if prov is provenance:
             return Adversarial(side, tuple(library))
     raise ValueError(f"no traffic mode for provenance {provenance}")
@@ -199,11 +198,8 @@ def mode_for(provenance: Provenance, library: tuple = ()) -> Mode:
 
 def write_predictions(path: str | Path, ds: Dataset, predictions: list[Label]) -> None:
     """One index,provenance,label,predicted row per sample."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "provenance", "label", "predicted"])
-        for i, (sample, pred) in enumerate(zip(ds.samples, predictions)):
-            w.writerow([i, sample.provenance.value, sample.label.value, pred.value])
+    rows = ([i, s.provenance.value, s.label.value, pred.value] for i, (s, pred) in enumerate(zip(ds.samples, predictions)))
+    write_rows(path, ["index", "provenance", "label", "predicted"], rows)
 
 
 class Artifacts:
@@ -214,41 +210,14 @@ class Artifacts:
         self.files: list[str] = []
         self.notes: list[str] = []
 
-    def _path(self, rel: str) -> Path | None:
+    def save(self, rel: str, write) -> None:
+        """write(path) the file at rel under the root, listed in the manifest; nothing without a root."""
         if self.root is None:
-            return None
-        p = self.root / rel
-        p.parent.mkdir(parents=True, exist_ok=True)
+            return
+        path = self.root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
         self.files.append(rel)
-        return p
-
-    def save_dataset(self, name: str, ds: Dataset) -> None:
-        p = self._path(f"datasets/{name}.csv")
-        if p is not None:
-            ds.to_csv(p)
-
-    def save_predictions(self, name: str, ds: Dataset, predictions: list[Label]) -> None:
-        p = self._path(f"predictions/{name}.csv")
-        if p is not None:
-            write_predictions(p, ds, predictions)
-
-    def save_json(self, rel: str, obj) -> None:
-        p = self._path(rel)
-        if p is not None:
-            p.write_bytes(report_bytes(obj))
-
-    def save_rows(self, rel: str, header: list[str], rows: list[list]) -> None:
-        p = self._path(rel)
-        if p is not None:
-            with open(p, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(header)
-                w.writerows(rows)
-
-    def save_detector(self, name: str, params: det.DetectorParams) -> None:
-        p = self._path(f"{name}.bin")
-        if p is not None:
-            params.save(p)
+        write(path)
 
     def write_manifest(self) -> None:
         if self.root is None:
@@ -292,10 +261,10 @@ def _train_stage(
     seed = built[0][0].seed
     train_ds = Dataset([s for ds, n_fit in built for s in ds.samples[:n_fit]], seed)
     test_ds = Dataset([s for ds, n_fit in built for s in ds.samples[n_fit:]], seed)
-    artifacts.save_dataset(f"{stage}_train", train_ds)
-    artifacts.save_dataset(f"{stage}_test", test_ds)
+    artifacts.save(f"datasets/{stage}_train.csv", train_ds.to_csv)
+    artifacts.save(f"datasets/{stage}_test.csv", test_ds.to_csv)
     params, history = det.train(train_ds, replace(ec.train, seed=seed_for(ec.master_seed, f"{stage}-train")))
-    artifacts.save_detector(detector_name, params)
+    artifacts.save(f"{detector_name}.bin", params.save)
     return params, history, train_ds, test_ds
 
 
@@ -303,7 +272,7 @@ def _evaluate_evasion(
     params: det.DetectorParams, ds: Dataset, artifacts: Artifacts, name: str
 ) -> dict:
     predictions = det.predict(params, [s.features for s in ds.samples])
-    artifacts.save_predictions(name, ds, predictions)
+    artifacts.save(f"predictions/{name}.csv", lambda path: write_predictions(path, ds, predictions))
     rate = evasion_rate(ds, predictions)
     return {
         "n": len(ds),
@@ -323,7 +292,7 @@ def run_threat_model_1(ec: ExperimentConfig, artifacts: Artifacts) -> dict:
     evasion = {}
     for prov in MODE_PROVENANCES:
         eval_ds, _ = build_dataset(prov, ec.n_eval, ec, "tm1-eval")
-        artifacts.save_dataset(f"eval_{prov.value}", eval_ds)
+        artifacts.save(f"datasets/eval_{prov.value}.csv", eval_ds.to_csv)
         evasion[prov.value] = _evaluate_evasion(params, eval_ds, artifacts, f"tm1_{prov.value}")
 
     report = {
@@ -378,7 +347,7 @@ def run_threat_model_2(ec: ExperimentConfig, artifacts: Artifacts) -> tuple[dict
     acc = det.accuracy(params, test_ds)
 
     rr_eval, _ = build_dataset(Provenance.RAND_REQ, ec.n_eval, ec, "tm2-eval")
-    artifacts.save_dataset("eval_randreq_aware", rr_eval)
+    artifacts.save("datasets/eval_randreq_aware.csv", rr_eval.to_csv)
     rr_result = _evaluate_evasion(params, rr_eval, artifacts, "tm2_randreq")
 
     attack_samples = [s for s in train_ds.samples if s.provenance is Provenance.RAND_REQ]
@@ -390,7 +359,7 @@ def run_threat_model_2(ec: ExperimentConfig, artifacts: Artifacts) -> tuple[dict
         adv_datasets[eps] = {}
         sweep[f"{eps}"] = {}
         for side in StuffSide:
-            prov = _ADV_PROVENANCE[side]
+            prov = ADV_PROVENANCE[side]
             adv_ds, flows = build_dataset(prov, ec.n_adv_eval, ec, f"tm2-eps{eps}", library=tuple(crafted[side]))
             adv_datasets[eps][side] = adv_ds
             entry = _evaluate_evasion(params, adv_ds, artifacts, f"tm2_{prov.value}_eps{eps}")
@@ -402,12 +371,13 @@ def run_threat_model_2(ec: ExperimentConfig, artifacts: Artifacts) -> tuple[dict
         key=lambda e: sweep[f"{e}"][StuffSide.FRAMEWORK_ONLY.value]["evasion_rate"],
     )
     for side in StuffSide:
-        prov = _ADV_PROVENANCE[side]
-        artifacts.save_dataset(f"eval_{prov.value}", adv_datasets[best_eps][side])
-        path = artifacts._path(f"plans/{side.value}_eps{best_eps}.json")
-        if path is not None:
-            meta = {"epsilon": best_eps, "side": side.value, "source": Provenance.RAND_REQ.value}
-            adv.save_plan_library(path, libraries[best_eps][side], meta)
+        prov = ADV_PROVENANCE[side]
+        artifacts.save(f"datasets/eval_{prov.value}.csv", adv_datasets[best_eps][side].to_csv)
+        meta = {"epsilon": best_eps, "side": side.value, "source": Provenance.RAND_REQ.value}
+        artifacts.save(
+            f"plans/{side.value}_eps{best_eps}.json",
+            lambda path: adv.save_plan_library(path, libraries[best_eps][side], meta),
+        )
 
     report = {
         "aware_accuracy": acc,
@@ -433,69 +403,43 @@ def run_overhead(
         artifacts.notes.append("overhead stage skipped: zero runs configured")
         return None
     runs = []
-    cdf_pool: dict[str, list[float]] = {
-        "conn_appdata_regular": [],
-        "conn_appdata_adversarial": [],
-        "conn_gap_regular": [],
-        "conn_gap_adversarial": [],
-    }
     # built once: constructing the mode indexes the whole library
-    modes = (("regular", Provenance.REGULAR), ("adversarial", Adversarial(StuffSide.TWO_SIDE, tuple(two_side_library))))
+    modes = {"regular": Provenance.REGULAR, "adversarial": Adversarial(StuffSide.TWO_SIDE, tuple(two_side_library))}
+    cdf_pool: dict[str, list[float]] = {f"conn_{kind}_{name}": [] for kind in ("appdata", "gap") for name in modes}
     for run_idx in range(ec.overhead_runs):
         run_seed = seed_for(ec.master_seed, f"overhead-{run_idx}")
         script = interactive_script(substream(run_seed, "overhead-script"))
-        per_mode = {}
-        for mode_name, mode in modes:
+        run = {"run": run_idx}
+        for name, mode in modes.items():
             cfg = replace(ec.sim, mode=mode, seed=run_seed)
             result = simulate_session(script, cfg, session_index=0)
-            conn_records = result.conns
-            appdata = [sum(r[2] for r in records) for records in conn_records]
-            shapes = [conn_shape(records, cfg) for records in conn_records]
-            opens = [shape.open_ts for shape in shapes]
-            per_mode[mode_name] = {
-                "appdata_bytes": int(sum(appdata)),
-                "wire_bytes": int(sum(shape.wire_bytes for shape in shapes)),
-                "connections": len(conn_records),
-                "runtime": result.runtime,
-                "exchanges": result.n_exchanges(),
-            }
-            cdf_pool[f"conn_appdata_{mode_name}"].extend(appdata)
-            cdf_pool[f"conn_gap_{mode_name}"].extend(
-                round(b - a, 6) for a, b in zip(opens, opens[1:])
-            )
-        runs.append({"run": run_idx, **{f"{k}_{m}": v for m, d in per_mode.items() for k, v in d.items()}})
+            appdata = [sum(r[2] for r in records) for records in result.conns]
+            shapes = [conn_shape(records, cfg) for records in result.conns]
+            run[f"appdata_bytes_{name}"] = int(sum(appdata))
+            run[f"wire_bytes_{name}"] = int(sum(shape.wire_bytes for shape in shapes))
+            run[f"connections_{name}"] = len(shapes)
+            run[f"runtime_{name}"] = result.runtime
+            run[f"exchanges_{name}"] = result.n_exchanges()
+            cdf_pool[f"conn_appdata_{name}"].extend(appdata)
+            cdf_pool[f"conn_gap_{name}"].extend(round(b.open_ts - a.open_ts, 6) for a, b in zip(shapes, shapes[1:]))
+        runs.append(run)
 
-    def mean(values):
-        return float(np.mean(values))
-
-    reg_app = mean([r["appdata_bytes_regular"] for r in runs])
-    adv_app = mean([r["appdata_bytes_adversarial"] for r in runs])
-    reg_wire = mean([r["wire_bytes_regular"] for r in runs])
-    adv_wire = mean([r["wire_bytes_adversarial"] for r in runs])
-    reg_conns = mean([r["connections_regular"] for r in runs])
-    adv_conns = mean([r["connections_adversarial"] for r in runs])
-    runtime_delta = max(abs(r["runtime_regular"] - r["runtime_adversarial"]) for r in runs)
-
+    header = sorted(runs[0])
+    means = {key: float(np.mean([r[key] for r in runs])) for key in header}
     summary = {
         "runs": ec.overhead_runs,
-        "appdata_ratio": adv_app / reg_app,
-        "appdata_bytes_regular_mean": reg_app,
-        "appdata_bytes_adversarial_mean": adv_app,
-        "wire_bytes_regular_mean": reg_wire,
-        "wire_bytes_adversarial_mean": adv_wire,
-        "wire_bytes_lower": adv_wire < reg_wire,
-        "connection_ratio": reg_conns / adv_conns,
-        "connections_regular_mean": reg_conns,
-        "connections_adversarial_mean": adv_conns,
-        "runtime_max_abs_delta": runtime_delta,
+        "appdata_ratio": means["appdata_bytes_adversarial"] / means["appdata_bytes_regular"],
+        "wire_bytes_lower": means["wire_bytes_adversarial"] < means["wire_bytes_regular"],
+        "connection_ratio": means["connections_regular"] / means["connections_adversarial"],
+        "runtime_max_abs_delta": max(abs(r["runtime_regular"] - r["runtime_adversarial"]) for r in runs),
+        **{f"{key}_mean": means[key] for key in header if key.startswith(("appdata_bytes_", "wire_bytes_", "connections_"))},
     }
 
-    header = sorted(runs[0].keys())
-    artifacts.save_rows("overhead/runs.csv", header, [[r[k] for k in header] for r in runs])
+    artifacts.save("overhead/runs.csv", lambda path: write_rows(path, header, ([r[k] for k in header] for r in runs)))
     for name, values in cdf_pool.items():
         values = sorted(values)
-        rows = [[v, (i + 1) / len(values)] for i, v in enumerate(values)] if values else []
-        artifacts.save_rows(f"overhead/cdf_{name}.csv", ["value", "cumulative_fraction"], rows)
+        rows = [[v, (i + 1) / len(values)] for i, v in enumerate(values)]
+        artifacts.save(f"overhead/cdf_{name}.csv", lambda path: write_rows(path, ["value", "cumulative_fraction"], rows))
     return {"per_run": runs, "summary": summary}
 
 
@@ -590,6 +534,6 @@ def run_full_experiment(ec: ExperimentConfig, out_dir: str | Path | None = None)
     report = {"config": ec.to_dict(), "threat_model_1": tm1, "threat_model_2": tm2}
     if overhead is not None:
         report["overhead"] = overhead
-    artifacts.save_json("report.json", report)
+    artifacts.save("report.json", lambda path: path.write_bytes(report_bytes(report)))
     artifacts.write_manifest()
     return report

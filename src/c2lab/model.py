@@ -37,6 +37,16 @@ def report_bytes(report: dict) -> bytes:
     return (json.dumps(report, sort_keys=True, indent=1) + "\n").encode()
 
 
+def write_rows(path: str | Path, header: list[str], rows) -> None:
+    """A CSV file of a header row then an iterable of rows, in a directory made if missing."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 class Direction(enum.Enum):
     """Which endpoint produced a record."""
 
@@ -160,16 +170,8 @@ class Dataset:
         return len(self.samples)
 
     def to_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(csv_header())
-            for s in self.samples:
-                row = [_format_feature(v) for v in s.features.values]
-                row.append(s.label.value)
-                row.append(s.provenance.value)
-                writer.writerow(row)
+        rows = ([*map(_format_feature, s.features.values), s.label.value, s.provenance.value] for s in self.samples)
+        write_rows(path, csv_header(), rows)
 
     @classmethod
     def from_csv(cls, path: str | Path, seed: int = 0) -> "Dataset":

@@ -12,7 +12,7 @@ import c2lab
 from c2lab import adversarial as adv
 from c2lab import detector as det
 from c2lab.adversarial import StuffSide, plan_from_adversarial
-from c2lab.cli import main
+from c2lab.cli import build_parser, main
 from c2lab.harness import ExperimentConfig
 from c2lab.model import Dataset, FeatureVector, Label, Provenance
 from c2lab.sim import emit_pcap, generate_c2_traces
@@ -150,6 +150,14 @@ def test_eval_reports_accuracy(pipeline, tmp_path, capsys):
     assert "evasion rate" in out
     header = preds.read_text().splitlines()[0]
     assert header == "index,provenance,label,predicted"
+
+
+def test_eval_out_creates_its_directory(pipeline, tmp_path):
+    preds = tmp_path / "missing" / "preds.csv"
+    rc = main(["eval", "--model", str(pipeline["model"]), "--data", str(pipeline["randreq"]), "--out", str(preds)])
+    assert rc == 0
+    # a header row, then one row per sample
+    assert len(preds.read_text().splitlines()) == 1 + len(Dataset.from_csv(pipeline["randreq"]))
 
 
 def test_overhead_command(pipeline, tmp_path, capsys):
@@ -328,6 +336,32 @@ def test_header_only_dataset_exits_2_naming_the_file(pipeline, tmp_path, capsys,
     assert main(args) == 2
     _assert_one_line_error(capsys, f"{empty}: holds no samples")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--mode", "regular", "--out", "o.csv"],
+    ["train", "--data", "d.csv", "--out", "m.bin"],
+    ["attack", "--model", "m.bin", "--data", "d.csv", "--out", "p.json"],
+    ["overhead", "--plans", "p.json"],
+    ["report"],
+])
+def test_experiment_subcommands_take_seed_and_config(argv):
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    assert (args.seed, args.config) == (None, None)
+    args = parser.parse_args([*argv, "--seed", "5", "--config", "c.json"])
+    assert (args.seed, args.config) == (5, "c.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--model", "m.bin", "--data", "d.csv"],
+    ["extract", "--pcap", "c.pcap", "--out", "o.csv"],
+])
+@pytest.mark.parametrize("flag", ["--seed", "--config"])
+def test_other_subcommands_reject_seed_and_config(argv, flag, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([*argv, flag, "5"])
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_missing_input_exits_2_without_traceback(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Experiment harness: seeding, mode wiring, artifacts, overhead stage."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import multiprocessing
@@ -28,7 +29,7 @@ from c2lab.harness import (
     run_overhead,
     seed_for,
 )
-from c2lab.model import FeatureVector, Label, Provenance
+from c2lab.model import Dataset, FeatureVector, Label, Provenance, write_rows
 from c2lab.sim import (
     FIXED_REQ_PER_CONN,
     NAIVE_MODES,
@@ -348,11 +349,11 @@ def test_readme_config_example_loads_as_the_defaults():
 
 def test_artifacts_none_root_is_noop(tmp_path):
     art = Artifacts(None)
-    ds, _ = build_dataset(Provenance.REGULAR, 2, SMALL, "noop")
-    art.save_dataset("x", ds)
-    art.save_json("y.json", {"a": 1})
-    art.save_rows("z.csv", ["a"], [[1]])
+    written = []
+    art.save("datasets/x.csv", written.append)
+    art.save("y.json", written.append)
     art.write_manifest()
+    assert written == []
     assert art.files == []
     assert list(tmp_path.iterdir()) == []
 
@@ -360,20 +361,21 @@ def test_artifacts_none_root_is_noop(tmp_path):
 def test_artifacts_collects_and_manifests(tmp_path):
     art = Artifacts(tmp_path)
     ds, _ = build_dataset(Provenance.REGULAR, 2, SMALL, "art")
-    art.save_dataset("sample", ds)
-    art.save_json("report/part.json", {"k": [1, 2]})
-    art.save_rows("rows.csv", ["a", "b"], [[1, 2], [3, 4]])
+    art.save("datasets/sample.csv", ds.to_csv)
+    art.save("report/part.json", lambda path: path.write_bytes(report_bytes({"k": [1, 2]})))
+    art.save("rows.csv", lambda path: write_rows(path, ["a", "b"], [[1, 2], [3, 4]]))
     params = det.DetectorParams.initialize(np.random.default_rng(0), hidden_sizes=(4,))
-    art.save_detector("net", params)
+    art.save("net.bin", params.save)
     art.notes.append("note-b")
     art.notes.append("note-a")
     art.write_manifest()
 
-    assert (tmp_path / "datasets/sample.csv").exists()
-    assert (tmp_path / "report/part.json").exists()
-    assert (tmp_path / "rows.csv").exists()
+    assert Dataset.from_csv(tmp_path / "datasets/sample.csv").samples == ds.samples
+    assert json.loads((tmp_path / "report/part.json").read_text()) == {"k": [1, 2]}
+    assert (tmp_path / "rows.csv").read_bytes() == b"a,b\r\n1,2\r\n3,4\r\n"
     assert (tmp_path / "net.bin").exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert art.files != sorted(art.files)
     assert manifest["files"] == sorted(art.files)
     assert manifest["notes"] == ["note-a", "note-b"]
     assert "datasets/sample.csv" in manifest["files"]
@@ -405,6 +407,19 @@ def _toy_library():
     return [plan_from_adversarial(FeatureVector.from_sizes(s), StuffSide.TWO_SIDE) for s in shapes]
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+OVERHEAD_FILE_SHA256 = {
+    "runs.csv": "94701fb6a4d27970a2e9b505606982c30c184e101ea81f257e246941aa31ba3e",
+    "cdf_conn_appdata_regular.csv": "24a2d7338784cb1624418d8a64cbfdced89df4ce967b82abd2105b680d38849e",
+    "cdf_conn_appdata_adversarial.csv": "39793ef12a899880290ee271ef424c9a14cc2b2f559e4aa91f99d1c838b1522e",
+    "cdf_conn_gap_regular.csv": "1aaed84797517758346cfc180989e2b106c80593c6e5cc665163681fc9d3b599",
+    "cdf_conn_gap_adversarial.csv": "511ad757bd62a6e56d941bf9604434a7e072d53a47ecec48052a0fdc94c8f82e",
+}
+
+
 def test_run_overhead_summary_and_files(tmp_path):
     ec = ExperimentConfig(master_seed=3, overhead_runs=2)
     art = Artifacts(tmp_path)
@@ -424,14 +439,10 @@ def test_run_overhead_summary_and_files(tmp_path):
     for run in result["per_run"]:
         assert run["exchanges_regular"] == run["exchanges_adversarial"]
         assert run["connections_adversarial"] <= run["connections_regular"]
-    assert (tmp_path / "overhead/runs.csv").exists()
-    for name in (
-        "conn_appdata_regular",
-        "conn_appdata_adversarial",
-        "conn_gap_regular",
-        "conn_gap_adversarial",
-    ):
-        assert (tmp_path / f"overhead/cdf_{name}.csv").exists()
+    # the summary and every file, byte for byte
+    assert _sha256(report_bytes(result)) == "5943ab0d60e1b026de5a7c7bf9e2dad9d7f4c689bf9c877d118a0d0a1e8adb44"
+    assert {p.name: _sha256(p.read_bytes()) for p in (tmp_path / "overhead").iterdir()} == OVERHEAD_FILE_SHA256
+    assert sorted(art.files) == sorted(f"overhead/{name}" for name in OVERHEAD_FILE_SHA256)
 
 
 def test_run_overhead_zero_runs_notes_skip():
