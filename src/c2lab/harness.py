@@ -5,14 +5,14 @@ detector against gradient-guided stuffing, and wire-cost accounting of the
 winning configuration. Every stage draws its randomness from named
 substreams of one master seed, and every reported number can be recomputed
 from the files the run leaves behind. The first two stages share nothing,
-so run_full_experiment runs them side by side in worker processes.
+so run_full_experiment runs them side by side in child interpreters.
 """
 
 from __future__ import annotations
 
-import gc
 import math
 import os
+import pickle
 import sys
 import zlib
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -447,10 +447,11 @@ def run_overhead(
 # whole experiment
 
 # Each stage trains its own detector from its own seed substreams and shares
-# no state with the other, so the two run side by side in worker processes. A
-# worker gets one BLAS thread: OpenBLAS threads spin-wait between matmuls and
+# no state with the other, so the two run side by side in child interpreters.
+# A child gets one BLAS thread: OpenBLAS threads spin-wait between matmuls and
 # would take the core the other stage trains on.
 _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+_WORKER_COMMAND = "from c2lab.harness import _serve_stage; _serve_stage()"
 
 
 def _stage_workers() -> int:
@@ -458,74 +459,66 @@ def _stage_workers() -> int:
     return min(2, len(os.sched_getaffinity(0)))
 
 
-def _threat_model_1_task(ec: ExperimentConfig, out_dir: str | Path | None) -> tuple[Artifacts, dict]:
+def _serve_stage() -> None:
+    """A worker's body: run the stage named on stdin and pickle (ok, result or exception) to stdout."""
+    result = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)  # a stray print goes to stderr, not into the result
+    stage, ec, out_dir = pickle.load(sys.stdin.buffer)
     artifacts = Artifacts(out_dir)
-    return artifacts, run_threat_model_1(ec, artifacts)
-
-
-def _threat_model_2_task(ec: ExperimentConfig, out_dir: str | Path | None) -> tuple[Artifacts, dict, list]:
-    artifacts = Artifacts(out_dir)
-    return artifacts, *run_threat_model_2(ec, artifacts)
+    try:
+        outcome = True, (artifacts, globals()[stage](ec, artifacts))
+    except Exception as exc:
+        outcome = False, exc
+    with result:
+        result.write(pickle.dumps(outcome))
 
 
 def _run_threat_models(ec: ExperimentConfig, out_dir: str | Path | None) -> tuple[tuple, tuple]:
-    """Both threat-model stages on a spawn-context pool; the workers are gone on return.
+    """(artifacts, result) of both threat-model stages, each run in a child interpreter.
 
-    A stage's exception is re-raised here with its type and message. A worker
-    that dies, say out of memory, raises BrokenProcessPool instead of hanging.
-    The pool starts multiprocessing's resource tracker process unless one is
-    already running; one started here is stopped before returning.
+    The children are gone on return. A stage's exception is re-raised here
+    with its type and message, after the other child is killed; a child that
+    exits without a result raises RuntimeError.
     """
-    # imported here: multiprocessing would add to every command's start-up
-    from multiprocessing import resource_tracker
+    # imported here: subprocess would add to every command's start-up
+    import select
+    import subprocess
+    from contextlib import suppress
 
-    # Python 3.11 has no public call that stops the tracker
-    tracker = resource_tracker._resource_tracker
-    owns_tracker = tracker._fd is None
+    src = str(Path(__file__).resolve().parents[1])  # the directory holding c2lab
+    env = {**os.environ, **_WORKER_ENV, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    pending, running, results = ["run_threat_model_1", "run_threat_model_2"], {}, {}
     try:
-        return _run_on_pool(ec, out_dir)
+        while pending or running:
+            while pending and len(running) < _stage_workers():
+                stage = pending.pop(0)
+                child = subprocess.Popen(
+                    [sys.executable, "-c", _WORKER_COMMAND], stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env
+                )
+                running[child.stdout] = stage, child
+                with suppress(BrokenPipeError), child.stdin:  # a child gone already leaves its stdout empty
+                    child.stdin.write(pickle.dumps((stage, ec, out_dir)))
+            for stdout in select.select(list(running), [], [])[0]:
+                data = stdout.read()
+                stage, child = running.pop(stdout)
+                stdout.close()
+                status = child.wait()
+                if not data:
+                    raise RuntimeError(f"{stage} worker exited with status {status} and no result")
+                ok, results[stage] = pickle.loads(data)
+                if not ok:
+                    raise results[stage]
     finally:
-        if owns_tracker:
-            # The pool's semaphores unregister themselves when collected; a
-            # tracker stopped before that warns of leaked semaphores.
-            gc.collect()
-            tracker._stop()
-
-
-def _run_on_pool(ec: ExperimentConfig, out_dir: str | Path | None) -> tuple[tuple, tuple]:
-    """The two stage tasks on a spawn-context pool, shut down before returning."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    saved = {key: os.environ.get(key) for key in _WORKER_ENV}
-    os.environ.update(_WORKER_ENV)
-    pool = ProcessPoolExecutor(_stage_workers(), mp_context=multiprocessing.get_context("spawn"))
-    try:
-        try:
-            # a spawn-context pool starts its workers as tasks arrive
-            futures = [pool.submit(task, ec, out_dir) for task in (_threat_model_1_task, _threat_model_2_task)]
-        finally:
-            for key, value in saved.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
-        for future in as_completed(futures):
-            future.result()  # the first stage to fail stops the other
-        tm1, tm2 = (future.result() for future in futures)
-    except BaseException:
-        # the executor has no public way to stop a running task before Python 3.14
-        for process in list(pool._processes.values()):
-            process.terminate()
-        pool.shutdown(wait=True, cancel_futures=True)
-        raise
-    pool.shutdown(wait=True)
-    return tm1, tm2
+        for stdout, (_, child) in running.items():
+            child.kill()
+            child.wait()
+            stdout.close()
+    return results["run_threat_model_1"], results["run_threat_model_2"]
 
 
 def run_full_experiment(ec: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     artifacts = Artifacts(out_dir)
-    (tm1_artifacts, tm1), (tm2_artifacts, tm2, two_side_library) = _run_threat_models(ec, out_dir)
+    (tm1_artifacts, tm1), (tm2_artifacts, (tm2, two_side_library)) = _run_threat_models(ec, out_dir)
     for stage in (tm1_artifacts, tm2_artifacts):
         artifacts.files += stage.files
         artifacts.notes += stage.notes

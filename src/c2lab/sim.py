@@ -686,6 +686,12 @@ class WebConfig:
             raise ValueError("tail_p must be in (0, 1]")
         if self.upload_prob + self.poll_prob > 1:
             raise ValueError("upload_prob + poll_prob must be <= 1")
+        for name in ("gap_mean", "request_sigma", "server_sigma", "client_sigma", "ack_sigma", "upload_sigma",
+                     "poll_req_sigma", "poll_resp_sigma"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.max_records < 1:
+            raise ValueError("max_records must be >= 1")
 
 
 def _upload_records(rng: np.random.Generator, web: WebConfig, t: float) -> list[RecordEvent]:

@@ -403,6 +403,9 @@ def test_missing_input_exits_2_without_traceback(tmp_path, capsys):
         ({"sim": {"post_base": 11}}, "sim.post_base"),
         ({"sim": {"response_base": 3}}, "sim.response_base"),
         ({"epsilon_sweep": [0.05, 0.05]}, "epsilon_sweep[1] repeats 0.05"),
+        ({"web": {"gap_mean": -1}}, "web.gap_mean"),
+        ({"web": {"server_sigma": -1}}, "web.server_sigma"),
+        ({"web": {"max_records": 0}}, "web.max_records"),
     ],
 )
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, doc, key_path):

@@ -4,9 +4,10 @@ import dataclasses
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +214,17 @@ def test_experiment_config_names_out_of_range_field(overrides, fragment):
         ({"upload_prob": 1.1}, "upload_prob"),
         ({"poll_prob": -0.5}, "poll_prob"),
         ({"upload_prob": 0.6, "poll_prob": 0.5}, r"upload_prob \+ poll_prob"),
+        ({"gap_mean": -1.0}, "gap_mean"),
+        ({"gap_mean": math.nan}, "gap_mean"),
+        ({"request_sigma": -0.1}, "request_sigma"),
+        ({"server_sigma": -1.0}, "server_sigma"),
+        ({"client_sigma": -1.0}, "client_sigma"),
+        ({"ack_sigma": -1.0}, "ack_sigma"),
+        ({"upload_sigma": -1.0}, "upload_sigma"),
+        ({"poll_req_sigma": -1.0}, "poll_req_sigma"),
+        ({"poll_resp_sigma": math.nan}, "poll_resp_sigma"),
+        ({"max_records": 0}, "max_records"),
+        ({"max_records": -3}, "max_records"),
     ],
 )
 def test_web_config_names_out_of_range_field(overrides, fragment):
@@ -223,6 +235,7 @@ def test_web_config_names_out_of_range_field(overrides, fragment):
 def test_range_checks_accept_edges_and_scaled_copies():
     ExperimentConfig(overhead_runs=0, epsilon_sweep=(1e-9,))
     WebConfig(tail_p=1.0, upload_prob=0.0, poll_prob=1.0, server_prob=1.0, ack_prob=0.0)
+    WebConfig(gap_mean=0.0, server_sigma=0.0, max_records=1)
     SimConfig(rtt=0.0, exec_delay=0.0, url_jitter=0, response_jitter=0, get_base=0, post_base=0, response_base=0)
     SimConfig(url_jitter=40, response_jitter=9, get_base=40, post_base=40, response_base=9)
     for factor in (0.02, 0.1):
@@ -453,14 +466,10 @@ def test_run_overhead_zero_runs_notes_skip():
 
 
 # ---------------------------------------------------------------------------
-# whole experiment: both threat-model stages run in worker processes
+# whole experiment: both threat-model stages run in child interpreters
 
 def _child_pids() -> set[str]:
-    """Every live child of this process, whichever thread started it.
-
-    multiprocessing.active_children() lists only the Process objects it
-    manages, not helpers such as the resource tracker.
-    """
+    """Every live child of this process, whichever thread started it."""
     return {pid for path in Path("/proc/self/task").glob("*/children") for pid in path.read_text().split()}
 
 
@@ -473,8 +482,7 @@ def test_report_is_byte_identical_at_one_and_two_stage_workers(tmp_path, monkeyp
         out = tmp_path / f"workers-{workers}"
         children = _child_pids()
         run_full_experiment(ec, out)
-        assert multiprocessing.active_children() == []
-        assert _child_pids() <= children  # no worker or resource tracker left behind
+        assert _child_pids() == children  # no worker left behind
         assert os.environ.get("OPENBLAS_NUM_THREADS") == blas_threads  # only the workers ran at one thread
         outs.append(out)
     files = json.loads((outs[0] / "manifest.json").read_text())["files"]
@@ -484,21 +492,48 @@ def test_report_is_byte_identical_at_one_and_two_stage_workers(tmp_path, monkeyp
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
 
-@pytest.mark.parametrize("blocked", ["out_dir", "baseline_detector"])
+def test_a_script_without_a_main_guard_runs_the_report(tmp_path):
+    script = tmp_path / "report.py"
+    script.write_text(
+        "import sys\n"
+        "from c2lab.harness import ExperimentConfig, run_full_experiment\n"
+        "run_full_experiment(ExperimentConfig().scaled(0.02), sys.argv[1])\n"
+    )
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = tmp_path / "out"
+    subprocess.run([sys.executable, str(script), str(out)], env=env, check=True, capture_output=True, timeout=600)
+    assert "report.json" in json.loads((out / "manifest.json").read_text())["files"]
+
+
+@pytest.mark.parametrize("blocked", ["out_dir", "baseline_detector", "aware_train_set"])
 def test_failed_stage_raises_its_error_and_leaves_no_workers(tmp_path, blocked):
     if blocked == "out_dir":
         # both stages fail on their first file
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "out"
         expected, path = NotADirectoryError, out / "datasets"
-    else:
+    elif blocked == "baseline_detector":
         # threat model 1 fails once its detector is trained, while threat model 2 still trains
         out = tmp_path / "out"
         path = out / "detector_baseline.bin"
         path.mkdir(parents=True)
         expected = IsADirectoryError
+    else:
+        # threat model 2 fails on its training set, while threat model 1 still trains
+        out = tmp_path / "out"
+        path = out / "datasets" / "tm2_train.csv"
+        path.mkdir(parents=True)
+        expected = IsADirectoryError
     children = _child_pids()
     with pytest.raises(expected, match=re.escape(str(path))):
         run_full_experiment(ExperimentConfig().scaled(0.02), out)
-    assert multiprocessing.active_children() == []
-    assert _child_pids() <= children
+    assert _child_pids() == children
+
+
+def test_worker_that_exits_without_a_result_names_its_stage_and_status(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_WORKER_COMMAND", "import os; os._exit(3)")
+    children = _child_pids()
+    with pytest.raises(RuntimeError, match=r"run_threat_model_[12] worker exited with status 3 "):
+        run_full_experiment(ExperimentConfig().scaled(0.02), tmp_path / "out")
+    assert _child_pids() == children

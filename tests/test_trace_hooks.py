@@ -69,7 +69,7 @@ def _toy_library():
 
 
 def test_trace_hooks_count_inside_a_real_run(layers, tmp_path):
-    """Every hooked layer runs under the hooks, and the spawn-pool report still pickles its tasks."""
+    """Every hooked layer runs under the hooks, and a report still runs its stage workers with them installed."""
     layers, spans = layers
     rec = spans.Recorder()
     patches = layers.install(rec)

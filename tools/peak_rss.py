@@ -6,7 +6,7 @@
 The command runs as a child with the caller's stdin, stdout and stderr.
 When it exits, getrusage(RUSAGE_CHILDREN) gives the largest peak resident
 set of any process in the child's tree that was waited for: the child
-itself, or a worker it started and reaped, such as a stage pool's process.
+itself, or a worker it started and reaped.
 That is one process's high-water mark, not a sum over processes running at
 once. The last line printed is ``peak_rss_mb: <MB>`` (MB = 1,048,576
 bytes, as perfbench reports it), and the exit status is the child's.
